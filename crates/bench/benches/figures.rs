@@ -55,7 +55,7 @@ fn cost_model_figures(c: &mut Criterion) {
 }
 
 fn sensitivity_figures(c: &mut Criterion) {
-    // The sweeps fan out internally (SweepEngine); keep samples minimal.
+    // The sweeps fan out across pool workers; keep samples minimal.
     let config = ExperimentConfig {
         n_flows: 40,
         seed: BENCH_SEED,

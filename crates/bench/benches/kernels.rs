@@ -1,6 +1,6 @@
 //! Kernel-level benchmarks of the evaluation hot path: the DP table
 //! build, full capture curves (one-pass vs per-point) at n ∈ {100, 1000}
-//! flows, the sweep engine at jobs ∈ {1, N}, ε = 0 flow coalescing on a
+//! flows, fig8's stage graph at threads ∈ {1, N}, ε = 0 flow coalescing on a
 //! replicated 100k-flow market, the tiled DP build at dp_threads
 //! ∈ {1, N}, and the NetFlow ingest fast path (decode-only, fold-only,
 //! and end-to-end at 100k records). These isolate *where* the time
@@ -19,7 +19,7 @@ use transit_core::fitting::fit_ced;
 use transit_core::market::{CedMarket, TransitMarket};
 use transit_datasets::{generate_replicated, Network};
 use transit_experiments::markets::{fit_market, flows_for};
-use transit_experiments::{runners, ExperimentConfig, SweepEngine};
+use transit_experiments::{runners, ExperimentConfig};
 
 const B_MAX: usize = 10;
 
@@ -103,25 +103,25 @@ fn capture_curves(c: &mut Criterion) {
     }
 }
 
-/// The sweep engine on fig8's 18 items at jobs ∈ {1, N}.
-fn sweep_jobs(c: &mut Criterion) {
-    let jobs_n = std::thread::available_parallelism()
+/// fig8's stage graph (18 capture items) at threads ∈ {1, N}.
+fn sweep_threads(c: &mut Criterion) {
+    let threads_n = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let config = |jobs: usize| ExperimentConfig {
+    let config = |threads: usize| ExperimentConfig {
         n_flows: 160,
-        jobs,
+        threads,
         log_level: transit_obs::Level::Quiet,
         ..ExperimentConfig::default()
     };
     transit_obs::set_log_level(transit_obs::Level::Quiet);
     let mut g = c.benchmark_group("sweep_fig8_items18");
     g.sample_size(10);
-    g.bench_function("jobs1", |b| {
+    g.bench_function("threads1", |b| {
         b.iter(|| runners::run("fig8", &config(1)).unwrap().unwrap())
     });
-    g.bench_function(&format!("jobs{jobs_n}"), |b| {
-        b.iter(|| runners::run("fig8", &config(jobs_n)).unwrap().unwrap())
+    g.bench_function(&format!("threads{threads_n}"), |b| {
+        b.iter(|| runners::run("fig8", &config(threads_n)).unwrap().unwrap())
     });
     transit_obs::set_log_level(transit_obs::Level::Info);
     g.finish();
@@ -279,18 +279,6 @@ fn ingest_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine's per-item overhead in isolation: tiny closure, many items.
-fn engine_overhead(c: &mut Criterion) {
-    let items: Vec<u64> = (0..10_000).collect();
-    let mut g = c.benchmark_group("engine_overhead_10k_items");
-    g.sample_size(10);
-    g.bench_function("jobs1", |b| {
-        let engine = SweepEngine::new(1);
-        b.iter(|| black_box(engine.run(&items, |_, &x| x.wrapping_mul(2654435761))))
-    });
-    g.finish();
-}
-
 /// The work-stealing pool's own primitives: indexed map over many tiny
 /// items at budget ∈ {1, N} (budget 1 is the inline serial fallback, so
 /// the pair reads as dispatch overhead vs pure loop), bare fan-out
@@ -347,11 +335,10 @@ criterion_group!(
     kernels,
     dp_series,
     capture_curves,
-    sweep_jobs,
+    sweep_threads,
     coalesce_kernels,
     tiled_dp,
     ingest_kernels,
-    engine_overhead,
     pool_kernels
 );
 criterion_main!(kernels);

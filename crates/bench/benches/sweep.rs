@@ -1,19 +1,18 @@
-//! Sweep-engine scaling: the same experiment at `--jobs 1` vs
-//! `--jobs 8`. On a machine with ≥8 cores the parallel variants should
-//! run several times faster; on small machines the pair still documents
-//! the (absence of) overhead, since the engine adds only an atomic
-//! fetch-add per item.
+//! Stage-graph scaling: the same experiment at `--threads 1` vs
+//! `--threads 8`. On a machine with ≥8 cores the parallel variants
+//! should run several times faster; on small machines the pair still
+//! documents the (absence of) overhead of the pooled executor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use transit_experiments::{runners, ExperimentConfig};
 
 const BENCH_SEED: u64 = 42;
 
-fn config(jobs: usize, n_flows: usize) -> ExperimentConfig {
+fn config(threads: usize, n_flows: usize) -> ExperimentConfig {
     ExperimentConfig {
         seed: BENCH_SEED,
         n_flows,
-        jobs,
+        threads,
         ..ExperimentConfig::default()
     }
 }
@@ -27,8 +26,8 @@ fn run(id: &str, cfg: &ExperimentConfig) {
 fn sweep_table1(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_table1");
     g.sample_size(10);
-    g.bench_function("jobs1", |b| b.iter(|| run("table1", &config(1, 400))));
-    g.bench_function("jobs8", |b| b.iter(|| run("table1", &config(8, 400))));
+    g.bench_function("threads1", |b| b.iter(|| run("table1", &config(1, 400))));
+    g.bench_function("threads8", |b| b.iter(|| run("table1", &config(8, 400))));
     g.finish();
 }
 
@@ -37,8 +36,8 @@ fn sweep_table1(c: &mut Criterion) {
 fn sweep_fig8(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_fig8");
     g.sample_size(10);
-    g.bench_function("jobs1", |b| b.iter(|| run("fig8", &config(1, 80))));
-    g.bench_function("jobs8", |b| b.iter(|| run("fig8", &config(8, 80))));
+    g.bench_function("threads1", |b| b.iter(|| run("fig8", &config(1, 80))));
+    g.bench_function("threads8", |b| b.iter(|| run("fig8", &config(8, 80))));
     g.finish();
 }
 
@@ -46,8 +45,8 @@ fn sweep_fig8(c: &mut Criterion) {
 fn sweep_fig14(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_fig14");
     g.sample_size(10);
-    g.bench_function("jobs1", |b| b.iter(|| run("fig14", &config(1, 40))));
-    g.bench_function("jobs8", |b| b.iter(|| run("fig14", &config(8, 40))));
+    g.bench_function("threads1", |b| b.iter(|| run("fig14", &config(1, 40))));
+    g.bench_function("threads8", |b| b.iter(|| run("fig14", &config(8, 40))));
     g.finish();
 }
 

@@ -42,9 +42,9 @@ const REPS: usize = 3;
 
 const ITEMS_PER_RUN: usize = 18; // fig8: 3 panels x 6 strategies
 
-fn quick_config(jobs: usize, log_level: transit_obs::Level) -> ExperimentConfig {
+fn quick_config(threads: usize, log_level: transit_obs::Level) -> ExperimentConfig {
     ExperimentConfig {
-        jobs,
+        threads,
         log_level,
         ..ExperimentConfig::quick()
     }
@@ -66,7 +66,7 @@ fn items_per_sec(cfg: &ExperimentConfig) -> f64 {
     ITEMS_PER_RUN as f64 / best
 }
 
-/// Quiet and info items/sec at `jobs = 1`, measured **interleaved**
+/// Quiet and info items/sec at `threads = 1`, measured **interleaved**
 /// (quiet, info, quiet, info, …) and best-of-[`REPS`] each — the same
 /// scheme sweep_smoke uses. Sequential best-of blocks can report wild
 /// overhead in either direction purely because the box changed speed
@@ -286,7 +286,6 @@ fn main() {
     let cfg = quick_config(0, transit_obs::Level::Info);
     let records = vec![transit_experiments::profile::RunRecord {
         id: "fig8".to_string(),
-        timings: Vec::new(),
         stages: Vec::new(),
     }];
     transit_experiments::profile::write_profile(dir, &cfg, &records)
@@ -309,7 +308,7 @@ fn main() {
     transit_obs::set_log_level(transit_obs::Level::Info);
     let overhead_pct = (quiet1 / info1 - 1.0) * 100.0;
     println!(
-        "obs_smoke: fig8 quick {quiet1:.1} items/s (jobs=1), {quiet_n:.1} (jobs={jobs_n}), \
+        "obs_smoke: fig8 quick {quiet1:.1} items/s (threads=1), {quiet_n:.1} (threads={jobs_n}), \
          span overhead {overhead_pct:.1}% (budget {OVERHEAD_BUDGET_PCT:.0}%)"
     );
     if overhead_pct > OVERHEAD_BUDGET_PCT {

@@ -5,11 +5,12 @@
 //! Three sections:
 //!
 //! * **sweep** — fig8 (3 panels × 6 strategies = 18 DP-heavy items) at
-//!   `jobs = 1` and `jobs = N` (all cores), observability quiet, plus a
-//!   `jobs = 1` run with spans enabled from which the observability
-//!   overhead percentage is derived (budget: ≤ 5%). The quiet and info
-//!   runs are measured **interleaved** (quiet, info, quiet, info, …,
-//!   best-of each) so both levels sample the same scheduler phases —
+//!   `threads = 1` and `threads = N` (all cores), observability quiet,
+//!   plus a `threads = 1` run with spans enabled from which the
+//!   observability overhead percentage is derived (budget: ≤ 5%). The
+//!   quiet and info runs are measured **interleaved** (quiet, info,
+//!   quiet, info, …, best-of each) so both levels sample the same
+//!   scheduler phases —
 //!   the same trick the ingest gate uses; a sequential pair can report
 //!   "info faster than quiet" purely because the box sped up between
 //!   the two blocks. The reported overhead is clamped at 0% (negative
@@ -96,10 +97,10 @@ const SMOKE_DEFAULT_BUDGET_SECS: f64 = 120.0;
 const INGEST_SMOKE_DEFAULT_RAW: usize = 100_000;
 const INGEST_SMOKE_DEFAULT_BUDGET_SECS: f64 = 60.0;
 
-fn config(jobs: usize, log_level: transit_obs::Level) -> ExperimentConfig {
+fn config(threads: usize, log_level: transit_obs::Level) -> ExperimentConfig {
     ExperimentConfig {
         n_flows: SWEEP_N_FLOWS,
-        jobs,
+        threads,
         log_level,
         ..ExperimentConfig::default()
     }
@@ -118,7 +119,7 @@ fn items_per_sec(cfg: &ExperimentConfig) -> f64 {
     ITEMS_PER_RUN as f64 / best
 }
 
-/// Items/sec for fig8 at `jobs = 1` under quiet and info levels,
+/// Items/sec for fig8 at `threads = 1` under quiet and info levels,
 /// measured **interleaved** (quiet, info, quiet, info, …) and best-of
 /// [`REPS`] each, so both levels sample the same scheduler phases. A
 /// sequential pair of best-of blocks can report negative overhead
@@ -702,7 +703,7 @@ fn gate(report: &Report, baseline_path: &str) -> Vec<String> {
     } else {
         if report.speedup_jobs_n() < 2.0 {
             failures.push(format!(
-                "speedup_jobsN {:.2} < 2.0 on a {}-core machine: the sweep engine \
+                "speedup_jobsN {:.2} < 2.0 on a {}-core machine: the stage graph \
                  is not scaling",
                 report.speedup_jobs_n(),
                 report.jobs_n

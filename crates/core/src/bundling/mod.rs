@@ -34,7 +34,7 @@ pub mod weights;
 pub use class_aware::ClassAware;
 pub use division::{CostDivision, IndexDivision};
 pub use extensions::{DemandMassDivision, NaturalBreaks};
-pub use optimal::{default_dp_threads, set_default_dp_threads, OptimalDp, OptimalExhaustive};
+pub use optimal::{OptimalDp, OptimalExhaustive};
 pub use token_bucket::TokenBucket;
 pub use weights::WeightKind;
 

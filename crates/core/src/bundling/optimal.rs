@@ -19,32 +19,9 @@
 //!   generate, supporting the standard interval-bundling intuition for
 //!   these score functions).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use super::{Bundling, BundlingStrategy};
 use crate::error::{Result, TransitError};
 use crate::market::TransitMarket;
-
-/// Process-wide default for [`OptimalDp`] worker threads (used when a
-/// strategy instance does not carry its own count, e.g. the ones built by
-/// [`StrategyKind::build`](crate::bundling::StrategyKind::build)).
-static DEFAULT_DP_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default number of DP worker threads (clamped to
-/// at least 1). The experiment CLI's `--dp-threads` lands here; since
-/// the pool unification it is a *cap* within the process-wide
-/// [`transit_pool`] budget (effective width =
-/// `min(dp_threads, thread_budget())`), and it composes with the sweep
-/// engine's item-level `--jobs` because nested fanouts split the budget
-/// instead of multiplying threads.
-pub fn set_default_dp_threads(threads: usize) {
-    DEFAULT_DP_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide default number of DP worker threads.
-pub fn default_dp_threads() -> usize {
-    DEFAULT_DP_THREADS.load(Ordering::Relaxed)
-}
 
 /// Exact optimal bundling by set-partition enumeration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -194,32 +171,28 @@ enum OrderingKey {
 /// tiles and every cell is computed by exactly one worker with the same
 /// arithmetic and tie-breaks as the serial loop, so the tables are
 /// **byte-identical for any thread count or pool budget**. The
-/// per-instance count is a cap within the pool's thread budget; 0 (the
-/// default) defers to [`default_dp_threads`].
+/// per-instance count is a cap within the pool's thread budget; the
+/// default (0 or 1) builds serially.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OptimalDp {
     dp_threads: usize,
 }
 
 impl OptimalDp {
-    /// Creates the strategy with the process-wide default thread count.
+    /// Creates the strategy with a serial table build.
     pub fn new() -> OptimalDp {
         OptimalDp::default()
     }
 
-    /// Creates the strategy with an explicit DP worker-thread count
-    /// (0 defers to [`default_dp_threads`] at call time).
+    /// Creates the strategy with an explicit DP worker-thread cap
+    /// (0 and 1 both build serially).
     pub fn with_threads(dp_threads: usize) -> OptimalDp {
         OptimalDp { dp_threads }
     }
 
     /// The thread count this instance will build tables with.
     fn effective_threads(&self) -> usize {
-        if self.dp_threads == 0 {
-            default_dp_threads()
-        } else {
-            self.dp_threads
-        }
+        self.dp_threads.max(1)
     }
 
     fn key_values(key: OrderingKey, market: &dyn TransitMarket) -> Vec<f64> {
@@ -727,16 +700,6 @@ mod tests {
             let run = OptimalDp::with_threads(8).bundle_series(&m, 6).unwrap();
             assert_eq!(baseline, run, "budget={budget} diverged");
         }
-    }
-
-    #[test]
-    fn default_dp_threads_round_trips_and_clamps() {
-        let before = default_dp_threads();
-        set_default_dp_threads(3);
-        assert_eq!(default_dp_threads(), 3);
-        set_default_dp_threads(0);
-        assert_eq!(default_dp_threads(), 1);
-        set_default_dp_threads(before);
     }
 
     #[test]

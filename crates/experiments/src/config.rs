@@ -22,34 +22,17 @@ pub struct ExperimentConfig {
     pub s0: f64,
     /// Largest bundle count evaluated (paper plots 1–6).
     pub max_bundles: usize,
-    /// Process-wide thread-pool budget (`--threads`, `0` = all cores).
-    /// The single knob that bounds total core use: every parallel layer
-    /// fans out on the shared `transit_pool` within this budget, and
-    /// nested layers split it rather than multiply threads. Results are
-    /// identical for every value.
+    /// Thread-pool budget for the invocation (`--threads`, `0` = the
+    /// budget already in force, all cores by default). The only thread
+    /// knob: the stage graph fans out on the shared `transit_pool`
+    /// within this budget, and nested layers split it rather than
+    /// multiply threads. Results are identical for every value.
     pub threads: usize,
-    /// Sweep-engine concurrent-item cap (`0` = no cap). Deprecated
-    /// spelling: since the pool unification this is a per-layer cap
-    /// within `threads`, kept for compatibility. Results are identical
-    /// for every value; see `engine`.
-    pub jobs: usize,
-    /// Intra-market DP table-build cap (`--dp-threads`, `0` = no cap).
-    /// Deprecated spelling: a per-layer cap within `threads`. Composes
-    /// with item-level `jobs` (nested budget split); the tiled build is
-    /// byte-identical for every value (see
-    /// `transit_core::bundling::OptimalDp`).
-    pub dp_threads: usize,
-    /// NetFlow collector batch-ingest decode cap (`--ingest-workers`,
-    /// `0` = no cap, `1` = serial). Deprecated spelling: a per-layer
-    /// cap within `threads`. Collector state is identical for every
-    /// value (see `transit_netflow::Collector::ingest_batch`); only the
-    /// NetFlow-driven runners (fig17) consume it.
-    pub ingest_workers: usize,
     /// Observability collection level (`--log-level`). Figure output is
     /// identical at every level; this only gates span collection.
     pub log_level: transit_obs::Level,
     /// Directory for observability sidecars (`--profile`): the run
-    /// manifest, Prometheus metrics, per-experiment timing files, and —
+    /// manifest, Prometheus metrics, per-experiment stage reports, and —
     /// with observability v2 — the streaming `events.jsonl` journal and
     /// its `trace.json` Chrome-trace export. `None` disables sidecar
     /// emission.
@@ -59,7 +42,7 @@ pub struct ExperimentConfig {
     /// at `/metrics`, span-tree JSON at `/spans`, and `/healthz` for the
     /// lifetime of the run. `None` (the default) binds nothing.
     pub serve_metrics: Option<String>,
-    /// Artifact-store directory (`--store DIR`): every runner's stage
+    /// Artifact-store directory (`--store DIR`): the invocation's stage
     /// graph reads and writes the content-addressed cache there.
     /// `None` (the default) runs storeless. Never fingerprinted —
     /// caching cannot change output.
@@ -68,7 +51,7 @@ pub struct ExperimentConfig {
     /// reuse its artifacts; stages whose fingerprints are present are
     /// skipped, the rest compute. Output is byte-identical either way.
     pub resume: bool,
-    /// Print each runner's stage plan (hit/miss per node) to stderr
+    /// Print the invocation's stage plan (hit/miss per node) to stderr
     /// before executing (`--explain`).
     pub explain: bool,
     /// Evict least-recently-used store entries down to this byte budget
@@ -87,9 +70,6 @@ impl Default for ExperimentConfig {
             s0: 0.2,
             max_bundles: 6,
             threads: 0,
-            jobs: 0,
-            dp_threads: 1,
-            ingest_workers: 1,
             log_level: transit_obs::Level::Info,
             profile: None,
             serve_metrics: None,

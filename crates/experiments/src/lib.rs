@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod engine;
 pub mod markets;
 pub mod output;
 pub mod profile;
@@ -24,6 +23,5 @@ pub mod runners;
 pub mod stages;
 
 pub use config::ExperimentConfig;
-pub use engine::{ItemTiming, SweepEngine};
 pub use output::{ExperimentResult, Figure, Series, TableOut};
-pub use runners::{run, ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};
+pub use runners::{run, run_all, Invocation, ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};

@@ -2,19 +2,18 @@
 
 use std::process::ExitCode;
 
-use transit_experiments::{run, ExperimentConfig, ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};
+use transit_experiments::runners::is_known;
+use transit_experiments::{run_all, ExperimentConfig, ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};
 
 fn usage() -> String {
     format!(
         "usage: transit-experiments <experiment|all|full|ext> [--json] [--chart] [--quick] [--flows N] [--seed S] [--threads N] [--out DIR]\n\
          \x20                          [--only ID] [--profile DIR] [--serve-metrics ADDR] [--log-level quiet|info|debug]\n\
-         \x20                          [--jobs N] [--dp-threads N] [--ingest-workers N]\n\
          \x20                          [--store DIR] [--resume] [--explain] [--store-gc BYTES]\n\
-         \x20  --threads N: process-wide thread-pool budget (0 = all cores); the one knob for total core use.\n\
-         \x20  --jobs/--dp-threads/--ingest-workers are deprecated: now per-layer caps within --threads (0 = no cap);\n\
-         \x20  results are identical for every combination.\n\
+         \x20  The requested experiments compile into one stage graph; a stage they share runs once.\n\
+         \x20  --threads N: thread-pool budget (0 = all cores), the only thread knob; results are identical for every value.\n\
          \x20  --store DIR: content-addressed artifact cache; stages whose fingerprints are present are not recomputed.\n\
-         \x20  --resume: require the store to exist (crash recovery); --explain: print each stage plan to stderr.\n\
+         \x20  --resume: require the store to exist (crash recovery); --explain: print the stage plan to stderr.\n\
          \x20  --store-gc BYTES: after the run, evict least-recently-used store entries down to the byte budget.\n\
          experiments: {} {} {}",
         ALL_IDS.join(" "),
@@ -58,27 +57,6 @@ fn main() -> ExitCode {
                 Some(n) => config.threads = n,
                 None => {
                     eprintln!("--threads needs a number (0 = all cores)\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.jobs = n,
-                None => {
-                    eprintln!("--jobs needs a number (0 = no cap; deprecated, see --threads)\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dp-threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.dp_threads = n,
-                None => {
-                    eprintln!("--dp-threads needs a number (0 = no cap; deprecated, see --threads)\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest-workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.ingest_workers = n,
-                None => {
-                    eprintln!("--ingest-workers needs a number (0 = no cap; deprecated, see --threads)\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
@@ -188,45 +166,51 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    if let Some(id) = ids.iter().find(|id| !is_known(id)) {
+        eprintln!("unknown experiment {id:?}\n{}", usage());
+        return ExitCode::FAILURE;
+    }
+
+    let results = match run_all(&ids, &config) {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!("{target} failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut profiled_runs: Vec<transit_experiments::profile::RunRecord> = Vec::new();
-    for id in ids {
-        match run(id, &config) {
-            Ok(Some(result)) => {
-                if config.profile.is_some() {
-                    profiled_runs.push(transit_experiments::profile::RunRecord {
-                        id: id.to_string(),
-                        timings: result.timings.clone(),
-                        stages: result.stage_reports.clone(),
-                    });
-                }
-                if let Some(dir) = &out_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-                        std::fs::write(dir.join(format!("{id}.json")), result.to_json())?;
-                        std::fs::write(dir.join(format!("{id}.txt")), result.render_text())
-                    }) {
-                        eprintln!("failed to write {id} output: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("wrote {}/{id}.json and .txt", dir.display());
-                } else if json {
-                    println!("{}", result.to_json());
-                } else {
-                    println!("{}", result.render_text());
-                    if chart {
-                        for f in &result.figures {
-                            println!("{}", transit_experiments::output::render_ascii_chart(f, 60, 14));
-                        }
-                    }
-                }
-            }
-            Ok(None) => {
-                eprintln!("unknown experiment {id:?}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
+    for (id, result) in ids.iter().zip(results) {
+        let result = match result {
+            Ok(result) => result,
             Err(e) => {
                 eprintln!("experiment {id} failed: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        if let Some(dir) = &out_dir {
+            if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
+                std::fs::write(dir.join(format!("{id}.json")), result.to_json())?;
+                std::fs::write(dir.join(format!("{id}.txt")), result.render_text())
+            }) {
+                eprintln!("failed to write {id} output: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("wrote {}/{id}.json and .txt", dir.display());
+        } else if json {
+            println!("{}", result.to_json());
+        } else {
+            println!("{}", result.render_text());
+            if chart {
+                for f in &result.figures {
+                    println!("{}", transit_experiments::output::render_ascii_chart(f, 60, 14));
+                }
+            }
+        }
+        if config.profile.is_some() {
+            profiled_runs.push(transit_experiments::profile::RunRecord {
+                id: id.to_string(),
+                stages: result.stage_reports,
+            });
         }
     }
     if let Some(profile_dir) = &config.profile {

@@ -6,8 +6,6 @@
 
 use serde::Serialize;
 
-use crate::engine::ItemTiming;
-
 /// One plotted series: `label` with y-values over the figure's x-axis.
 #[derive(Debug, Clone, Serialize)]
 pub struct Series {
@@ -67,19 +65,16 @@ pub struct ExperimentResult {
     pub tables: Vec<TableOut>,
     /// Figures produced.
     pub figures: Vec<Figure>,
-    /// Per-item wall-clock timings from the sweep engine. **Not**
-    /// serialized: timings differ between runs and would break the
-    /// golden-output guarantee that `--jobs 1` and `--jobs 8` produce
-    /// byte-identical JSON.
-    pub timings: Vec<ItemTiming>,
-    /// Per-stage execution reports (fingerprint, cache hit, seconds)
-    /// from the stage-graph executor. Execution metadata like
-    /// `timings`: **not** serialized, for the same reason.
+    /// Per-stage execution reports (fingerprint, cache hit, seconds),
+    /// one per stage node the experiment requested, in request order.
+    /// **Not** serialized: timings differ between runs and would break
+    /// the golden-output guarantee that `--threads 1` and `--threads 8`
+    /// produce byte-identical JSON.
     pub stage_reports: Vec<transit_stage::StageReport>,
 }
 
-// Hand-written so `timings` stays out of the JSON (the vendored serde
-// derive has no field-skip attribute).
+// Hand-written so `stage_reports` stays out of the JSON (the vendored
+// serde derive has no field-skip attribute).
 impl Serialize for ExperimentResult {
     fn to_content(&self) -> serde::Content {
         serde::Content::Map(vec![
@@ -101,7 +96,6 @@ impl ExperimentResult {
             notes: Vec::new(),
             tables: Vec::new(),
             figures: Vec::new(),
-            timings: Vec::new(),
             stage_reports: Vec::new(),
         }
     }

@@ -4,13 +4,11 @@
 //! the figure outputs:
 //!
 //! * `run_manifest.json` — the [`transit_obs::RunManifest`]: config, seed,
-//!   git revision, span tree, metric snapshots, per-item timings, and
+//!   thread budget, git revision, span tree, metric snapshots, and
 //!   per-stage execution records (fingerprint, cache hit, seconds).
 //! * `metrics.prom` — the same metric snapshot in Prometheus text format.
-//! * `<id>.timings.json` — per-experiment item timings, one file per
-//!   experiment that reported any.
-//! * `<id>.stages.json` — per-experiment stage reports from the
-//!   stage-graph executor, one file per experiment that ran a graph.
+//! * `<id>.stages.json` — per-experiment stage reports, one entry per
+//!   stage node the experiment requested, in request order.
 //! * `events.jsonl` + `trace.json` — when the event journal is enabled
 //!   (the CLI enables it for `--profile` runs), the streamed timeline
 //!   and its Chrome/Perfetto `trace_event` export.
@@ -19,39 +17,19 @@
 //! back into figure JSON, so profiled and unprofiled runs emit
 //! byte-identical figures (asserted by `tests/obs_regression.rs`).
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use transit_obs::fsutil::atomic_write;
 use transit_stage::StageReport;
 
 use crate::config::ExperimentConfig;
-use crate::engine::ItemTiming;
 
 /// Everything one experiment contributes to the profile sidecars.
 pub struct RunRecord {
     /// Experiment id (`"fig8"`, ...).
     pub id: String,
-    /// Figure-item timings (sweep-item granularity, legacy labels).
-    pub timings: Vec<ItemTiming>,
-    /// Stage-graph execution reports (includes dataset nodes).
+    /// Stage reports (includes dataset nodes).
     pub stages: Vec<StageReport>,
-}
-
-/// Renders one experiment's item timings as a JSON array of
-/// `{"label": …, "seconds": …}` objects.
-fn timings_json(timings: &[ItemTiming]) -> String {
-    let items: Vec<serde::Content> = timings
-        .iter()
-        .map(|t| {
-            serde::Content::Map(vec![
-                ("label".into(), serde::Content::Str(t.label.clone())),
-                ("seconds".into(), serde::Content::F64(t.seconds)),
-            ])
-        })
-        .collect();
-    serde_json::to_string_pretty(&serde::Content::Seq(items))
-        .expect("timing content is serializable")
 }
 
 /// One stage report as JSON content.
@@ -68,57 +46,39 @@ fn stage_content(report: &StageReport) -> serde::Content {
     ])
 }
 
-/// Renders one experiment's stage reports as a JSON array.
-fn stages_json(stages: &[StageReport]) -> String {
-    serde_json::to_string_pretty(&serde::Content::Seq(
-        stages.iter().map(stage_content).collect(),
-    ))
-    .expect("stage content is serializable")
-}
-
 /// Writes all observability sidecars for one harness invocation into
 /// `dir`: the run manifest, Prometheus metrics, and per-experiment
-/// `<id>.timings.json` / `<id>.stages.json` files. Returns the manifest
-/// path. All writes are atomic (`*.tmp` + rename).
+/// `<id>.stages.json` files. Returns the manifest path. All writes are
+/// atomic (`*.tmp` + rename).
 pub fn write_profile(
     dir: &Path,
     config: &ExperimentConfig,
     runs: &[RunRecord],
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let mut manifest_timings: BTreeMap<String, transit_obs::RunTimings> = BTreeMap::new();
     let mut manifest_stages: Vec<(String, serde::Content)> = Vec::new();
     for run in runs {
-        if !run.timings.is_empty() {
-            atomic_write(
-                &dir.join(format!("{}.timings.json", run.id)),
-                timings_json(&run.timings).as_bytes(),
-            )?;
-        }
         if !run.stages.is_empty() {
+            let stages = serde::Content::Seq(run.stages.iter().map(stage_content).collect());
+            let json =
+                serde_json::to_string_pretty(&stages).expect("stage content is serializable");
             atomic_write(
                 &dir.join(format!("{}.stages.json", run.id)),
-                stages_json(&run.stages).as_bytes(),
+                json.as_bytes(),
             )?;
-            manifest_stages.push((
-                run.id.clone(),
-                serde::Content::Seq(run.stages.iter().map(stage_content).collect()),
-            ));
+            manifest_stages.push((run.id.clone(), stages));
         }
-        manifest_timings.insert(
-            run.id.clone(),
-            run.timings
-                .iter()
-                .map(|t| (t.label.clone(), t.seconds))
-                .collect(),
-        );
     }
+    // The effective pool budget: `--threads`, or the budget in force.
+    let threads = match config.threads {
+        0 => transit_pool::thread_budget(),
+        n => n,
+    };
     let manifest = transit_obs::RunManifest::capture(
         serde::Serialize::to_content(config),
         config.seed,
-        crate::engine::SweepEngine::from_config(config).jobs(),
+        threads,
         runs.iter().map(|run| run.id.clone()).collect(),
-        manifest_timings,
     )
     .with_stages(serde::Content::Map(manifest_stages));
     let manifest_path = manifest.write_to(dir)?;
@@ -135,16 +95,12 @@ mod tests {
     use transit_stage::Fingerprint;
 
     #[test]
-    fn write_profile_emits_manifest_and_timing_sidecars() {
+    fn write_profile_emits_manifest_and_stage_sidecars() {
         let dir = std::env::temp_dir().join(format!("transit_profile_{}", std::process::id()));
         let config = ExperimentConfig::quick();
         let runs = vec![
             RunRecord {
                 id: "figX".to_string(),
-                timings: vec![ItemTiming {
-                    label: "figXa/Optimal".into(),
-                    seconds: 0.25,
-                }],
                 stages: vec![StageReport {
                     label: "dataset EU ISP/n120/s42".into(),
                     kind: "dataset.generate".into(),
@@ -155,19 +111,13 @@ mod tests {
             },
             RunRecord {
                 id: "figY".to_string(),
-                timings: Vec::new(),
                 stages: Vec::new(),
             },
         ];
         let manifest_path = write_profile(&dir, &config, &runs).unwrap();
         assert!(manifest_path.exists());
         assert!(dir.join("metrics.prom").exists());
-        assert!(dir.join("figX.timings.json").exists());
         assert!(dir.join("figX.stages.json").exists());
-        assert!(
-            !dir.join("figY.timings.json").exists(),
-            "experiments without timings get no sidecar"
-        );
         assert!(
             !dir.join("figY.stages.json").exists(),
             "experiments without stages get no sidecar"
@@ -176,7 +126,8 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
         assert_eq!(manifest["schema"], "transit-obs/v1");
         assert_eq!(manifest["experiments"][0], "figX");
-        assert_eq!(manifest["timings"]["figX"][0]["label"], "figXa/Optimal");
+        assert!(manifest.get("timings").is_none(), "no timings map");
+        assert!(manifest["threads"].as_f64().unwrap() >= 1.0);
         assert_eq!(manifest["stages"]["figX"][0]["kind"], "dataset.generate");
         assert_eq!(
             manifest["stages"]["figX"][0]["hit"],

@@ -25,16 +25,14 @@ use transit_routing::{
 use crate::config::ExperimentConfig;
 use crate::markets::fit_market;
 use crate::output::{trim_num, ExperimentResult, TableOut};
-use crate::stages::run_result_stage;
+use crate::stages::{result_stage, Assembler, Requests};
 
 /// Number of tiers the experiment provisions.
 const TIERS: usize = 3;
 
-/// Runs the accounting-equivalence experiment as a whole-result stage.
-/// Fingerprinted by the output-affecting knobs only — `--ingest-workers`
-/// is an execution knob (collector state is identical for any worker
-/// count) and deliberately stays out of the params.
-pub fn fig17(config: &ExperimentConfig) -> Result<ExperimentResult> {
+/// Compiles the accounting-equivalence experiment as a whole-result
+/// stage, fingerprinted by the output-affecting knobs only.
+pub fn fig17(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let params = transit_stage::canon::map(vec![
         // The runner caps the instance at 60 flows; fingerprint the
         // effective value so configs above the cap share one artifact.
@@ -48,7 +46,7 @@ pub fn fig17(config: &ExperimentConfig) -> Result<ExperimentResult> {
         ("theta", serde::Content::F64(config.theta)),
     ]);
     let c = config.clone();
-    run_result_stage(config, "fig17", params, move || compute_fig17(&c))
+    result_stage(req, "fig17", params, move || compute_fig17(&c))
 }
 
 fn compute_fig17(config: &ExperimentConfig) -> Result<ExperimentResult> {
@@ -106,11 +104,10 @@ fn compute_fig17(config: &ExperimentConfig) -> Result<ExperimentResult> {
         let packets = bytes_total / 1_500;
         exporter.observe_packets(key, packets, 1_500);
     }
-    // Batch ingest through the fast path (state is identical to serial
-    // per-datagram ingestion for any worker count, so the figure output
-    // is byte-stable under --ingest-workers).
+    // Batch ingest on one worker: a few datagrams do not pay for a
+    // fan-out (collector state is identical for any worker count).
     let wire: Vec<_> = exporter.flush(0).iter().map(|pkt| pkt.encode()).collect();
-    let mut collector = Collector::with_shards_and_workers(1, config.ingest_workers);
+    let mut collector = Collector::with_shards_and_workers(1, 1);
     collector.ingest_batch(&wire);
     let (_, _, decode_errors) = collector.stats();
     assert_eq!(decode_errors, 0, "own datagrams decode");
@@ -181,9 +178,15 @@ fn compute_fig17(config: &ExperimentConfig) -> Result<ExperimentResult> {
 mod tests {
     use super::*;
 
+    fn fig17() -> ExperimentResult {
+        crate::runners::run("fig17", &ExperimentConfig::quick())
+            .unwrap()
+            .unwrap()
+    }
+
     #[test]
     fn bills_agree_between_methods() {
-        let r = fig17(&ExperimentConfig::quick()).unwrap();
+        let r = fig17();
         let totals = r.tables[0].rows.last().unwrap();
         let link: f64 = totals[4].parse().unwrap();
         let flow: f64 = totals[5].parse().unwrap();
@@ -198,7 +201,7 @@ mod tests {
 
     #[test]
     fn all_flows_match_tagged_routes() {
-        let r = fig17(&ExperimentConfig::quick()).unwrap();
+        let r = fig17();
         let note = &r.notes[0];
         // "N/N flows matched" — both sides equal.
         let frac = note.split(" flows").next().unwrap();

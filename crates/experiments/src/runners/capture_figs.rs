@@ -3,38 +3,32 @@
 
 use transit_core::bundling::StrategyKind;
 use transit_core::demand::DemandFamily;
-use transit_core::error::Result;
 use transit_datasets::Network;
 
 use crate::config::ExperimentConfig;
-use crate::engine::ItemTiming;
 use crate::output::{ExperimentResult, Figure, Series};
-use crate::stages::{
-    dataset_node, decode_curve, execute, stage_error, CaptureStage, StrategySpec,
-};
+use crate::stages::{decode_curve, stage_error, Assembler, CaptureStage, Requests, StrategySpec};
 
-/// Builds one capture-figure result as a stage graph: one dataset node
-/// per panel feeding one `exp.capture` node per (panel, strategy), with
-/// the curves merged back in panel-major, strategy-minor paper order.
+/// Compiles one capture figure: one dataset node per panel feeding one
+/// `exp.capture` node per (panel, strategy), with the curves merged back
+/// in panel-major, strategy-minor paper order.
 fn capture_result(
-    result_id: &str,
-    title: &str,
-    panels: &[(&str, Network)],
+    req: &mut Requests<'_>,
+    result_id: &'static str,
+    title: &'static str,
+    panels: [(&'static str, Network); 3],
     family: DemandFamily,
-    strategies: &[StrategyKind],
+    strategies: &'static [StrategyKind],
     config: &ExperimentConfig,
-) -> Result<ExperimentResult> {
-    let mut r = ExperimentResult::new(result_id, title);
-
-    let mut graph = transit_stage::Graph::new();
+) -> Assembler {
     let datasets: Vec<_> = panels
         .iter()
-        .map(|&(_, network)| dataset_node(&mut graph, network, config.n_flows, config.seed))
+        .map(|&(_, network)| req.dataset(network, config.n_flows, config.seed))
         .collect();
     let mut curve_nodes = Vec::with_capacity(panels.len() * strategies.len());
     for (pi, &(panel, _)) in panels.iter().enumerate() {
         for &kind in strategies {
-            curve_nodes.push(graph.add_labeled(
+            curve_nodes.push(req.add(
                 format!("{panel}/{}", kind.label()),
                 CaptureStage::from_config(family, StrategySpec::Kind(kind), config),
                 &[datasets[pi]],
@@ -42,50 +36,45 @@ fn capture_result(
         }
     }
 
-    let outcome = execute(result_id, config, &graph)?;
-    for &node in &curve_nodes {
-        let report = &outcome.reports[node.index()];
-        r.timings.push(ItemTiming {
-            label: report.label.clone(),
-            seconds: report.seconds,
-        });
-    }
-
-    let mut curves = curve_nodes.iter().map(|&node| {
-        decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)
-    });
-    for &(panel, network) in panels {
-        let mut figure = Figure {
-            id: panel.into(),
-            title: format!(
-                "Profit capture, {} demand — {}",
-                family.label(),
-                network.label()
-            ),
-            x_label: "# of bundles".into(),
-            y_label: "profit capture".into(),
-            x: (1..=config.max_bundles).map(|b| b as f64).collect(),
-            series: Vec::new(),
-        };
-        for &kind in strategies {
-            figure.series.push(Series {
-                label: kind.label().into(),
-                y: curves.next().expect("one curve per (panel, strategy)")?,
-            });
+    let max_bundles = config.max_bundles;
+    Box::new(move |outcome| {
+        let mut r = ExperimentResult::new(result_id, title);
+        let mut curves = curve_nodes
+            .iter()
+            .map(|&node| decode_curve(outcome.artifact(node).bytes()).map_err(stage_error));
+        for (panel, network) in panels {
+            let mut figure = Figure {
+                id: panel.into(),
+                title: format!(
+                    "Profit capture, {} demand — {}",
+                    family.label(),
+                    network.label()
+                ),
+                x_label: "# of bundles".into(),
+                y_label: "profit capture".into(),
+                x: (1..=max_bundles).map(|b| b as f64).collect(),
+                series: Vec::new(),
+            };
+            for &kind in strategies {
+                figure.series.push(Series {
+                    label: kind.label().into(),
+                    y: curves.next().expect("one curve per (panel, strategy)")?,
+                });
+            }
+            r.figures.push(figure);
         }
-        r.figures.push(figure);
-    }
-    r.stage_reports = outcome.reports;
-    Ok(r)
+        Ok(r)
+    })
 }
 
 /// Fig. 8 (a–c): six strategies under constant-elasticity demand, one
 /// panel per network.
-pub fn fig8(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn fig8(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     capture_result(
+        req,
         "fig8",
         "Profit capture for different bundling strategies, constant elasticity demand",
-        &[
+        [
             ("fig8a", Network::EuIsp),
             ("fig8b", Network::Internet2),
             ("fig8c", Network::Cdn),
@@ -98,11 +87,12 @@ pub fn fig8(config: &ExperimentConfig) -> Result<ExperimentResult> {
 
 /// Fig. 9 (a–c): five strategies under logit demand (demand-weighted ≡
 /// profit-weighted there, Eq. 13).
-pub fn fig9(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn fig9(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     capture_result(
+        req,
         "fig9",
         "Profit capture for different bundling strategies, logit demand",
-        &[
+        [
             ("fig9a", Network::EuIsp),
             ("fig9b", Network::Internet2),
             ("fig9c", Network::Cdn),
@@ -116,14 +106,23 @@ pub fn fig9(config: &ExperimentConfig) -> Result<ExperimentResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::run;
 
     fn config() -> ExperimentConfig {
         ExperimentConfig::quick()
     }
 
+    fn fig8(config: &ExperimentConfig) -> ExperimentResult {
+        run("fig8", config).unwrap().unwrap()
+    }
+
+    fn fig9(config: &ExperimentConfig) -> ExperimentResult {
+        run("fig9", config).unwrap().unwrap()
+    }
+
     #[test]
     fn fig8_shapes_match_paper() {
-        let r = fig8(&config()).unwrap();
+        let r = fig8(&config());
         assert_eq!(r.figures.len(), 3);
         for f in &r.figures {
             assert_eq!(f.series.len(), 6);
@@ -153,19 +152,21 @@ mod tests {
     }
 
     #[test]
-    fn fig8_timings_keep_sweep_item_labels() {
-        let r = fig8(&config()).unwrap();
-        assert_eq!(r.timings.len(), 18);
-        assert_eq!(r.timings[0].label, "fig8a/Optimal");
-        // Stage reports additionally cover the dataset nodes.
+    fn fig8_stage_reports_keep_item_labels() {
+        let r = fig8(&config());
+        // Three dataset nodes, then one capture node per (panel,
+        // strategy) under its sweep-item label.
         assert_eq!(r.stage_reports.len(), 21);
+        assert_eq!(r.stage_reports[0].kind, "dataset.generate");
+        assert_eq!(r.stage_reports[3].label, "fig8a/Optimal");
+        assert_eq!(r.stage_reports[20].label, "fig8c/Index division");
     }
 
     #[test]
     fn fig9_logit_captures_faster_than_ced() {
         let c = config();
-        let r8 = fig8(&c).unwrap();
-        let r9 = fig9(&c).unwrap();
+        let r8 = fig8(&c);
+        let r9 = fig9(&c);
         // §4.2.2: "maximum profit capture occurs more quickly in the
         // logit model" — compare the optimal curves at 2 bundles on the
         // EU ISP panel.
@@ -179,7 +180,7 @@ mod tests {
 
     #[test]
     fn fig9_has_five_series() {
-        let r = fig9(&config()).unwrap();
+        let r = fig9(&config());
         for f in &r.figures {
             assert_eq!(f.series.len(), 5);
             assert!(f.series_named("Demand-weighted").is_none());

@@ -9,14 +9,12 @@
 //! at the blended-rate first-order condition), which the tests verify.
 
 use transit_core::demand::DemandFamily;
-use transit_core::error::Result;
 use transit_datasets::Network;
 
 use crate::config::ExperimentConfig;
-use crate::engine::ItemTiming;
 use crate::output::{ExperimentResult, Figure, Series};
 use crate::stages::{
-    dataset_node, decode_curve, execute, stage_error, ThetaCostKind, ThetaProfitStage,
+    decode_curve, stage_error, Assembler, Requests, ThetaCostKind, ThetaProfitStage,
 };
 
 /// A θ-panel: which cost model, at which θ values.
@@ -25,19 +23,17 @@ struct ThetaPanel {
     cost: ThetaCostKind,
 }
 
-fn run_theta_panel(
-    id: &str,
-    title: &str,
+fn theta_panel(
+    req: &mut Requests<'_>,
+    id: &'static str,
+    title: &'static str,
     panel: ThetaPanel,
     config: &ExperimentConfig,
-) -> Result<ExperimentResult> {
-    let mut r = ExperimentResult::new(id, title);
-
+) -> Assembler {
     // Every (family, θ) pair is an independent `exp.theta` stage over
     // the shared EU ISP dataset node. Merged in paper order (families
     // outer, θ inner) below.
-    let mut graph = transit_stage::Graph::new();
-    let dataset = dataset_node(&mut graph, Network::EuIsp, config.n_flows, config.seed);
+    let dataset = req.dataset(Network::EuIsp, config.n_flows, config.seed);
     let items: Vec<(DemandFamily, f64)> = DemandFamily::ALL
         .into_iter()
         .flat_map(|family| panel.thetas.iter().map(move |&theta| (family, theta)))
@@ -45,7 +41,7 @@ fn run_theta_panel(
     let nodes: Vec<_> = items
         .iter()
         .map(|&(family, theta)| {
-            graph.add_labeled(
+            req.add(
                 format!("{id}/{}/theta={theta}", family.label()),
                 ThetaProfitStage {
                     family,
@@ -61,57 +57,58 @@ fn run_theta_panel(
         })
         .collect();
 
-    let outcome = execute(id, config, &graph)?;
-    // Decode back into the pre-stage-graph item shape:
-    // (theta, profits, orig, max).
-    let mut evaluated = Vec::with_capacity(nodes.len());
-    for (&(_, theta), &node) in items.iter().zip(&nodes) {
-        let report = &outcome.reports[node.index()];
-        r.timings.push(ItemTiming {
-            label: report.label.clone(),
-            seconds: report.seconds,
-        });
-        let mut values = decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)?;
-        let max = values.pop().ok_or_else(|| stage_error("empty theta artifact"))?;
-        let orig = values.pop().ok_or_else(|| stage_error("empty theta artifact"))?;
-        evaluated.push((theta, values, orig, max));
-    }
-
-    let mut evaluated = evaluated.into_iter();
-    for family in DemandFamily::ALL {
-        // (theta, profits, orig, max), in θ order for this family.
-        let raw: Vec<(f64, Vec<f64>, f64, f64)> =
-            evaluated.by_ref().take(panel.thetas.len()).collect();
-
-        // Panel-global denominator: the largest profit headroom over θ.
-        let denom = raw
-            .iter()
-            .map(|(_, _, orig, max)| max - orig)
-            .fold(f64::NEG_INFINITY, f64::max);
-
-        let mut figure = Figure {
-            id: format!("{id}-{}", family.label()),
-            title: format!("{title} — {} demand", family.label()),
-            x_label: "# of pricing bundles".into(),
-            y_label: "profit increase (panel-normalized)".into(),
-            x: (1..=config.max_bundles).map(|b| b as f64).collect(),
-            series: Vec::new(),
-        };
-        for (theta, profits, orig, _) in &raw {
-            figure.series.push(Series {
-                label: format!("theta={theta}"),
-                y: profits.iter().map(|p| (p - orig) / denom).collect(),
-            });
+    let max_bundles = config.max_bundles;
+    let n_thetas = panel.thetas.len();
+    Box::new(move |outcome| {
+        let mut r = ExperimentResult::new(id, title);
+        // Decode each artifact into (theta, profits, orig, max).
+        let mut evaluated = Vec::with_capacity(nodes.len());
+        for (&(_, theta), &node) in items.iter().zip(&nodes) {
+            let mut values = decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)?;
+            let max = values
+                .pop()
+                .ok_or_else(|| stage_error("empty theta artifact"))?;
+            let orig = values
+                .pop()
+                .ok_or_else(|| stage_error("empty theta artifact"))?;
+            evaluated.push((theta, values, orig, max));
         }
-        r.figures.push(figure);
-    }
-    r.stage_reports = outcome.reports;
-    Ok(r)
+
+        let mut evaluated = evaluated.into_iter();
+        for family in DemandFamily::ALL {
+            // (theta, profits, orig, max), in θ order for this family.
+            let raw: Vec<(f64, Vec<f64>, f64, f64)> = evaluated.by_ref().take(n_thetas).collect();
+
+            // Panel-global denominator: the largest profit headroom over θ.
+            let denom = raw
+                .iter()
+                .map(|(_, _, orig, max)| max - orig)
+                .fold(f64::NEG_INFINITY, f64::max);
+
+            let mut figure = Figure {
+                id: format!("{id}-{}", family.label()),
+                title: format!("{title} — {} demand", family.label()),
+                x_label: "# of pricing bundles".into(),
+                y_label: "profit increase (panel-normalized)".into(),
+                x: (1..=max_bundles).map(|b| b as f64).collect(),
+                series: Vec::new(),
+            };
+            for (theta, profits, orig, _) in &raw {
+                figure.series.push(Series {
+                    label: format!("theta={theta}"),
+                    y: profits.iter().map(|p| (p - orig) / denom).collect(),
+                });
+            }
+            r.figures.push(figure);
+        }
+        Ok(r)
+    })
 }
 
 /// Fig. 10: linear cost model, θ ∈ {0.1, 0.2, 0.3}.
-pub fn fig10(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_theta_panel(
+pub fn fig10(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
+    theta_panel(
+        req,
         "fig10",
         "Profit increase in EU ISP network using linear cost model",
         ThetaPanel {
@@ -123,8 +120,9 @@ pub fn fig10(config: &ExperimentConfig) -> Result<ExperimentResult> {
 }
 
 /// Fig. 11: concave cost model, θ ∈ {0.1, 0.2, 0.3}.
-pub fn fig11(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_theta_panel(
+pub fn fig11(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
+    theta_panel(
+        req,
         "fig11",
         "Profit increase in EU ISP network using concave cost model",
         ThetaPanel {
@@ -136,8 +134,9 @@ pub fn fig11(config: &ExperimentConfig) -> Result<ExperimentResult> {
 }
 
 /// Fig. 12: regional cost model, θ ∈ {1.0, 1.1, 1.2}.
-pub fn fig12(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_theta_panel(
+pub fn fig12(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
+    theta_panel(
+        req,
         "fig12",
         "Profit increase in EU ISP network using regional cost model",
         ThetaPanel {
@@ -151,8 +150,9 @@ pub fn fig12(config: &ExperimentConfig) -> Result<ExperimentResult> {
 /// Fig. 13: destination-type cost model, θ ∈ {0.05, 0.10, 0.15} (the
 /// on-net traffic fraction), with the §4.3.1 class-aware profit-weighted
 /// strategy.
-pub fn fig13(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_theta_panel(
+pub fn fig13(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
+    theta_panel(
+        req,
         "fig13",
         "Profit increase in EU ISP network using destination type cost model",
         ThetaPanel {
@@ -172,9 +172,13 @@ mod tests {
         ExperimentConfig::quick()
     }
 
+    fn run(id: &str) -> ExperimentResult {
+        crate::runners::run(id, &config()).unwrap().unwrap()
+    }
+
     #[test]
     fn fig10_higher_base_cost_lowers_attainable_profit() {
-        let r = fig10(&config()).unwrap();
+        let r = run("fig10");
         for f in &r.figures {
             let at_max_bundles = |label: &str| *f.series_named(label).unwrap().y.last().unwrap();
             let lo = at_max_bundles("theta=0.1");
@@ -222,7 +226,7 @@ mod tests {
     fn fig12_higher_theta_means_higher_profit() {
         // Regional model: higher θ → higher cost CV → more headroom, so
         // the θ=1.2 curve is the panel normalizer.
-        let r = fig12(&config()).unwrap();
+        let r = run("fig12");
         for f in &r.figures {
             let hi = *f.series_named("theta=1.2").unwrap().y.last().unwrap();
             let lo = *f.series_named("theta=1").unwrap().y.last().unwrap();
@@ -234,7 +238,7 @@ mod tests {
     fn fig13_two_bundles_capture_most_profit() {
         // Two sharply-separated cost classes: two bundles ≈ the panel's
         // attainable profit for that θ.
-        let r = fig13(&config()).unwrap();
+        let r = run("fig13");
         for f in &r.figures {
             for s in &f.series {
                 let at2 = s.y[1];

@@ -21,25 +21,15 @@ use transit_market::response::ced_response;
 use transit_stage::canon;
 
 use crate::config::ExperimentConfig;
-use crate::engine::ItemTiming;
 use crate::markets::flows_for;
 use crate::output::{trim_num, ExperimentResult, Figure, Series, TableOut};
 use crate::stages::{
-    dataset_node, decode_curve, execute, run_result_stage, stage_error, CaptureStage, StrategySpec,
+    decode_curve, result_stage, stage_error, Assembler, CaptureStage, Requests, StrategySpec,
 };
 
 /// Extension strategies vs the paper's, CED demand, all networks.
-pub fn ext_strategies(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    let mut r = ExperimentResult::new(
-        "ext1",
-        "Extension bundling strategies vs the paper's (CED demand)",
-    );
-    r.notes.push(
-        "natural-breaks: demand-weighted Fisher-Jenks on the cost axis; \
-         demand-mass-division: equal-traffic cuts of the cost-sorted flows"
-            .into(),
-    );
-    let named: [(&str, StrategySpec); 5] = [
+pub fn ext_strategies(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
+    const NAMED: [(&str, StrategySpec); 5] = [
         ("Optimal", StrategySpec::Kind(StrategyKind::Optimal)),
         (
             "Profit-weighted",
@@ -58,56 +48,61 @@ pub fn ext_strategies(config: &ExperimentConfig) -> Result<ExperimentResult> {
 
     // One `exp.capture` stage per (network, strategy); curves merge back
     // in network-major, strategy-minor order.
-    let mut graph = transit_stage::Graph::new();
-    let mut nodes = Vec::with_capacity(Network::ALL.len() * named.len());
+    let mut nodes = Vec::with_capacity(Network::ALL.len() * NAMED.len());
     for network in Network::ALL {
-        let dataset = dataset_node(&mut graph, network, config.n_flows, config.seed);
-        for &(name, spec) in &named {
-            nodes.push(graph.add_labeled(
+        let dataset = req.dataset(network, config.n_flows, config.seed);
+        for (name, spec) in NAMED {
+            nodes.push(req.add(
                 format!("ext1/{}/{name}", network.label()),
                 CaptureStage::from_config(DemandFamily::Ced, spec, config),
                 &[dataset],
             ));
         }
     }
-    let outcome = execute("ext1", config, &graph)?;
-    for &node in &nodes {
-        let report = &outcome.reports[node.index()];
-        r.timings.push(ItemTiming {
-            label: report.label.clone(),
-            seconds: report.seconds,
-        });
-    }
 
-    let mut curves = nodes
-        .iter()
-        .map(|&node| decode_curve(outcome.artifact(node).bytes()).map_err(stage_error));
-    for network in Network::ALL {
-        let mut figure = Figure {
-            id: format!("ext1-{}", network.label().replace(' ', "-").to_lowercase()),
-            title: format!("Profit capture with extension strategies — {}", network.label()),
-            x_label: "# of bundles".into(),
-            y_label: "profit capture".into(),
-            x: (1..=config.max_bundles).map(|b| b as f64).collect(),
-            series: Vec::new(),
-        };
-        for (label, _) in &named {
-            figure.series.push(Series {
-                label: (*label).into(),
-                y: curves.next().expect("one curve per (network, strategy)")?,
-            });
+    let max_bundles = config.max_bundles;
+    Box::new(move |outcome| {
+        let mut r = ExperimentResult::new(
+            "ext1",
+            "Extension bundling strategies vs the paper's (CED demand)",
+        );
+        r.notes.push(
+            "natural-breaks: demand-weighted Fisher-Jenks on the cost axis; \
+             demand-mass-division: equal-traffic cuts of the cost-sorted flows"
+                .into(),
+        );
+        let mut curves = nodes
+            .iter()
+            .map(|&node| decode_curve(outcome.artifact(node).bytes()).map_err(stage_error));
+        for network in Network::ALL {
+            let mut figure = Figure {
+                id: format!("ext1-{}", network.label().replace(' ', "-").to_lowercase()),
+                title: format!(
+                    "Profit capture with extension strategies — {}",
+                    network.label()
+                ),
+                x_label: "# of bundles".into(),
+                y_label: "profit capture".into(),
+                x: (1..=max_bundles).map(|b| b as f64).collect(),
+                series: Vec::new(),
+            };
+            for (label, _) in NAMED {
+                figure.series.push(Series {
+                    label: label.into(),
+                    y: curves.next().expect("one curve per (network, strategy)")?,
+                });
+            }
+            r.figures.push(figure);
         }
-        r.figures.push(figure);
-    }
-    r.stage_reports = outcome.reports;
-    Ok(r)
+        Ok(r)
+    })
 }
 
 /// Duopoly equilibria across regime combinations. A whole-result stage:
 /// the computation is closed-form (no dataset, no config knobs), so its
 /// fingerprint is constant.
-pub fn ext_competition(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_result_stage(config, "ext2", canon::map(vec![]), compute_ext2)
+pub fn ext_competition(req: &mut Requests<'_>) -> Assembler {
+    result_stage(req, "ext2", canon::map(vec![]), compute_ext2)
 }
 
 fn compute_ext2() -> Result<ExperimentResult> {
@@ -166,7 +161,7 @@ fn compute_ext2() -> Result<ExperimentResult> {
 
 /// Demand response of the EU ISP to an optimal 3-tier structure. A
 /// whole-result stage fingerprinted by the knobs the computation reads.
-pub fn ext_response(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn ext_response(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let params = canon::map(vec![
         ("n_flows", Content::U64(config.n_flows as u64)),
         ("seed", Content::U64(config.seed)),
@@ -175,7 +170,7 @@ pub fn ext_response(config: &ExperimentConfig) -> Result<ExperimentResult> {
         ("theta", Content::F64(config.theta)),
     ]);
     let c = config.clone();
-    run_result_stage(config, "ext3", params, move || compute_ext3(&c))
+    result_stage(req, "ext3", params, move || compute_ext3(&c))
 }
 
 fn compute_ext3(config: &ExperimentConfig) -> Result<ExperimentResult> {
@@ -237,6 +232,7 @@ fn compute_ext3(config: &ExperimentConfig) -> Result<ExperimentResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::run;
 
     fn config() -> ExperimentConfig {
         ExperimentConfig::quick()
@@ -244,7 +240,7 @@ mod tests {
 
     #[test]
     fn ext1_extension_strategies_are_competitive() {
-        let r = ext_strategies(&config()).unwrap();
+        let r = run("ext1", &config()).unwrap().unwrap();
         assert_eq!(r.figures.len(), 3);
         for f in &r.figures {
             let optimal = f.series_named("Optimal").unwrap();
@@ -265,7 +261,7 @@ mod tests {
 
     #[test]
     fn ext2_orderings_hold() {
-        let r = ext_competition(&config()).unwrap();
+        let r = run("ext2", &config()).unwrap().unwrap();
         let rows = &r.tables[0].rows;
         let profit = |row: usize, col: usize| -> f64 { rows[row][col].parse().unwrap() };
         // Row 0: blended/blended; row 1: tiered/blended; row 2: tiered/tiered.
@@ -279,7 +275,7 @@ mod tests {
     #[test]
     fn ext3_balances() {
         let c = config();
-        let r = ext_response(&c).unwrap();
+        let r = run("ext3", &c).unwrap().unwrap();
         assert_eq!(r.tables[0].rows.len(), 3);
         // Profit printed in the note exceeds the status quo.
         let note = &r.notes[0];
@@ -297,7 +293,7 @@ mod tests {
 /// Welfare decomposition across tier counts: does the Fig. 1 result
 /// (tiering helps consumers too) hold at scale? A whole-result stage
 /// fingerprinted by the knobs the computation reads.
-pub fn ext_welfare(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn ext_welfare(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let params = canon::map(vec![
         ("n_flows", Content::U64(config.n_flows as u64)),
         ("seed", Content::U64(config.seed)),
@@ -308,7 +304,7 @@ pub fn ext_welfare(config: &ExperimentConfig) -> Result<ExperimentResult> {
         ("max_bundles", Content::U64(config.max_bundles as u64)),
     ]);
     let c = config.clone();
-    run_result_stage(config, "ext4", params, move || compute_ext4(&c))
+    result_stage(req, "ext4", params, move || compute_ext4(&c))
 }
 
 fn compute_ext4(config: &ExperimentConfig) -> Result<ExperimentResult> {
@@ -434,25 +430,7 @@ fn compute_ext4(config: &ExperimentConfig) -> Result<ExperimentResult> {
 
 /// The cross-cutting summary: capture at 4 tiers for every (network,
 /// demand family, strategy) — this repository's own "Table 2".
-pub fn summary(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    let mut r = ExperimentResult::new(
-        "summary",
-        "Profit capture at 4 tiers: every network, demand family, and strategy",
-    );
-    let mut t = TableOut {
-        id: "summary".into(),
-        title: "Capture at 4 tiers (defaults: alpha=1.1, P0=$20, linear theta=0.2)".into(),
-        headers: vec![
-            "strategy".into(),
-            "EU ISP / CED".into(),
-            "EU ISP / logit".into(),
-            "Internet2 / CED".into(),
-            "Internet2 / logit".into(),
-            "CDN / CED".into(),
-            "CDN / logit".into(),
-        ],
-        rows: Vec::new(),
-    };
+pub fn summary(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     // One (network, family) pair per market index; the full
     // (strategy, market) grid becomes independent `exp.capture` stages
     // (capped at 4 bundles, the table's tier count), merged back
@@ -462,52 +440,59 @@ pub fn summary(config: &ExperimentConfig) -> Result<ExperimentResult> {
         .into_iter()
         .flat_map(|network| DemandFamily::ALL.into_iter().map(move |family| (network, family)))
         .collect();
-
-    let mut graph = transit_stage::Graph::new();
     let datasets: Vec<_> = networks
         .into_iter()
-        .map(|network| dataset_node(&mut graph, network, config.n_flows, config.seed))
+        .map(|network| req.dataset(network, config.n_flows, config.seed))
         .collect();
-    let items: Vec<(StrategyKind, usize)> = StrategyKind::ALL
-        .iter()
-        .flat_map(|&kind| (0..grid.len()).map(move |mi| (kind, mi)))
-        .collect();
-    let nodes: Vec<_> = items
-        .iter()
-        .map(|&(kind, mi)| {
-            let (network, family) = grid[mi];
+    let mut nodes = Vec::with_capacity(StrategyKind::ALL.len() * grid.len());
+    for kind in StrategyKind::ALL {
+        for (mi, &(network, family)) in grid.iter().enumerate() {
             let dataset = datasets[networks.iter().position(|&n| n == network).expect("grid")];
-            graph.add_labeled(
+            nodes.push(req.add(
                 format!("summary/{}/market{mi}", kind.label()),
                 CaptureStage {
                     max_bundles: 4,
                     ..CaptureStage::from_config(family, StrategySpec::Kind(kind), config)
                 },
                 &[dataset],
-            )
-        })
-        .collect();
+            ));
+        }
+    }
 
-    let outcome = execute("summary", config, &graph)?;
-    let mut cells = Vec::with_capacity(nodes.len());
-    for &node in &nodes {
-        let report = &outcome.reports[node.index()];
-        r.timings.push(ItemTiming {
-            label: report.label.clone(),
-            seconds: report.seconds,
-        });
-        let curve = decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)?;
-        cells.push(format!("{:.0}%", curve[3] * 100.0));
-    }
-    let mut cells = cells.into_iter();
-    for kind in StrategyKind::ALL {
-        let mut row = vec![kind.label().to_string()];
-        row.extend((0..grid.len()).map(|_| cells.next().expect("full grid")));
-        t.rows.push(row);
-    }
-    r.tables.push(t);
-    r.stage_reports = outcome.reports;
-    Ok(r)
+    let n_markets = grid.len();
+    Box::new(move |outcome| {
+        let mut r = ExperimentResult::new(
+            "summary",
+            "Profit capture at 4 tiers: every network, demand family, and strategy",
+        );
+        let mut t = TableOut {
+            id: "summary".into(),
+            title: "Capture at 4 tiers (defaults: alpha=1.1, P0=$20, linear theta=0.2)".into(),
+            headers: vec![
+                "strategy".into(),
+                "EU ISP / CED".into(),
+                "EU ISP / logit".into(),
+                "Internet2 / CED".into(),
+                "Internet2 / logit".into(),
+                "CDN / CED".into(),
+                "CDN / logit".into(),
+            ],
+            rows: Vec::new(),
+        };
+        let mut cells = Vec::with_capacity(nodes.len());
+        for &node in &nodes {
+            let curve = decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)?;
+            cells.push(format!("{:.0}%", curve[3] * 100.0));
+        }
+        let mut cells = cells.into_iter();
+        for kind in StrategyKind::ALL {
+            let mut row = vec![kind.label().to_string()];
+            row.extend((0..n_markets).map(|_| cells.next().expect("full grid")));
+            t.rows.push(row);
+        }
+        r.tables.push(t);
+        Ok(r)
+    })
 }
 
 #[cfg(test)]
@@ -516,7 +501,9 @@ mod welfare_summary_tests {
 
     #[test]
     fn ext4_all_series_weakly_increase() {
-        let r = ext_welfare(&ExperimentConfig::quick()).unwrap();
+        let r = crate::runners::run("ext4", &ExperimentConfig::quick())
+            .unwrap()
+            .unwrap();
         for s in &r.figures[0].series {
             for w in s.y.windows(2) {
                 assert!(
@@ -531,11 +518,11 @@ mod welfare_summary_tests {
 
     #[test]
     fn summary_has_full_grid() {
-        let r = summary(&ExperimentConfig {
+        let config = ExperimentConfig {
             n_flows: 60,
             ..ExperimentConfig::quick()
-        })
-        .unwrap();
+        };
+        let r = crate::runners::run("summary", &config).unwrap().unwrap();
         let t = &r.tables[0];
         assert_eq!(t.rows.len(), 6, "six strategies");
         for row in &t.rows {

@@ -8,23 +8,21 @@
 //! values". Fig. 16's caption says *maximum*, contradicting the body
 //! text; we emit both envelopes there and note the discrepancy.
 //!
-//! Sweeps compile into one stage graph per figure: a dataset node per
-//! network feeding an `exp.capture` node per (family, network,
-//! parameter value). Results merge in paper order, so output is
-//! identical for every `--jobs` value — and because the capture-stage
-//! fingerprint is a pure function of (dataset, family, strategy,
-//! α/P0/θ/s0), a shared `--store` deduplicates overlapping points
-//! across figures (e.g. fig14's α=1.1 column is fig15's P0=20 column).
+//! Each sweep adds a dataset node per network feeding an `exp.capture`
+//! node per (family, network, parameter value). Results merge in paper
+//! order, so output is identical for every `--threads` value — and
+//! because the capture-stage fingerprint is a pure function of
+//! (dataset, family, strategy, α/P0/θ/s0), one invocation's graph runs
+//! overlapping points once across figures (e.g. fig14's α=1.1 column is
+//! fig15's P0=20 column, and fig8's profit-weighted curve).
 
 use transit_core::bundling::StrategyKind;
 use transit_core::demand::DemandFamily;
-use transit_core::error::Result;
 use transit_datasets::Network;
 
 use crate::config::ExperimentConfig;
-use crate::engine::ItemTiming;
 use crate::output::{ExperimentResult, Figure, Series};
-use crate::stages::{dataset_node, decode_curve, execute, stage_error, CaptureStage, StrategySpec};
+use crate::stages::{decode_curve, stage_error, Assembler, CaptureStage, Requests, StrategySpec};
 
 /// Element-wise min / max over sweep results.
 fn envelope(curves: &[Vec<f64>], max: bool) -> Vec<f64> {
@@ -45,100 +43,78 @@ fn envelope(curves: &[Vec<f64>], max: bool) -> Vec<f64> {
         .collect()
 }
 
-/// Runs one parameter sweep on the engine: every (family, network,
-/// variant) triple is an independent work item; results merge back in
-/// paper order (families outer, networks middle, variants inner).
+/// Compiles one parameter sweep: every (family, network, variant)
+/// triple is an independent capture stage; results merge back in paper
+/// order (families outer, networks middle, variants inner).
 fn sweep(
-    base_id: &str,
-    title: &str,
+    req: &mut Requests<'_>,
+    base_id: &'static str,
+    title: &'static str,
     variants: Vec<(String, ExperimentConfig)>,
-    families: &[DemandFamily],
+    families: &'static [DemandFamily],
     emit_max_too: bool,
-) -> Result<ExperimentResult> {
-    let mut r = ExperimentResult::new(base_id, title);
+) -> Assembler {
     let base = &variants[0].1;
-
-    // Flatten the sweep into one item list so the pool stays busy across
-    // family/network boundaries.
-    let n_variants = variants.len();
-    let items: Vec<(DemandFamily, Network, usize)> = families
-        .iter()
-        .flat_map(|&family| {
-            Network::ALL
-                .into_iter()
-                .flat_map(move |network| (0..n_variants).map(move |vi| (family, network, vi)))
-        })
-        .collect();
-
-    let mut graph = transit_stage::Graph::new();
     let datasets: Vec<_> = Network::ALL
         .into_iter()
-        .map(|network| dataset_node(&mut graph, network, base.n_flows, base.seed))
+        .map(|network| req.dataset(network, base.n_flows, base.seed))
         .collect();
-    let dataset_for =
-        |network: Network| datasets[Network::ALL.iter().position(|&n| n == network).expect("ALL")];
-    let nodes: Vec<_> = items
-        .iter()
-        .map(|&(family, network, vi)| {
-            graph.add_labeled(
-                format!(
-                    "{base_id}/{}/{}/{}",
-                    family.label(),
-                    network.label(),
-                    variants[vi].0
-                ),
-                CaptureStage::from_config(
-                    family,
-                    StrategySpec::Kind(StrategyKind::ProfitWeighted),
-                    &variants[vi].1,
-                ),
-                &[dataset_for(network)],
-            )
-        })
-        .collect();
-
-    let outcome = execute(base_id, base, &graph)?;
-    let mut curves = Vec::with_capacity(nodes.len());
-    for &node in &nodes {
-        let report = &outcome.reports[node.index()];
-        r.timings.push(ItemTiming {
-            label: report.label.clone(),
-            seconds: report.seconds,
-        });
-        curves.push(decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)?);
-    }
-
-    let mut curves = curves.into_iter();
+    let mut nodes = Vec::with_capacity(families.len() * datasets.len() * variants.len());
     for &family in families {
-        let mut figure = Figure {
-            id: format!("{base_id}-{}", family.label()),
-            title: format!("{title} — {} demand", family.label()),
-            x_label: "# of bundles".into(),
-            y_label: "profit capture envelope".into(),
-            x: (1..=variants[0].1.max_bundles).map(|b| b as f64).collect(),
-            series: Vec::new(),
-        };
-        for network in Network::ALL {
-            let grid: Vec<Vec<f64>> = curves.by_ref().take(variants.len()).collect();
-            figure.series.push(Series {
-                label: format!("{} (min)", network.label()),
-                y: envelope(&grid, false),
-            });
-            if emit_max_too {
-                figure.series.push(Series {
-                    label: format!("{} (max)", network.label()),
-                    y: envelope(&grid, true),
-                });
+        for (network, &dataset) in Network::ALL.into_iter().zip(&datasets) {
+            for (label, variant) in &variants {
+                nodes.push(req.add(
+                    format!("{base_id}/{}/{}/{label}", family.label(), network.label()),
+                    CaptureStage::from_config(
+                        family,
+                        StrategySpec::Kind(StrategyKind::ProfitWeighted),
+                        variant,
+                    ),
+                    &[dataset],
+                ));
             }
         }
-        r.figures.push(figure);
     }
-    r.stage_reports = outcome.reports;
-    Ok(r)
+
+    let max_bundles = base.max_bundles;
+    let n_variants = variants.len();
+    Box::new(move |outcome| {
+        let mut r = ExperimentResult::new(base_id, title);
+        let mut curves = Vec::with_capacity(nodes.len());
+        for &node in &nodes {
+            curves.push(decode_curve(outcome.artifact(node).bytes()).map_err(stage_error)?);
+        }
+        let mut curves = curves.into_iter();
+        for &family in families {
+            let mut figure = Figure {
+                id: format!("{base_id}-{}", family.label()),
+                title: format!("{title} — {} demand", family.label()),
+                x_label: "# of bundles".into(),
+                y_label: "profit capture envelope".into(),
+                x: (1..=max_bundles).map(|b| b as f64).collect(),
+                series: Vec::new(),
+            };
+            for network in Network::ALL {
+                let grid: Vec<Vec<f64>> = curves.by_ref().take(n_variants).collect();
+                figure.series.push(Series {
+                    label: format!("{} (min)", network.label()),
+                    y: envelope(&grid, false),
+                });
+                if emit_max_too {
+                    figure.series.push(Series {
+                        label: format!("{} (max)", network.label()),
+                        y: envelope(&grid, true),
+                    });
+                }
+            }
+            r.figures.push(figure);
+        }
+        Ok(r)
+    })
 }
 
 /// Fig. 14: worst-case capture over price sensitivity α ∈ [1.1, 10].
-pub fn fig14(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn fig14(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let variants: Vec<(String, ExperimentConfig)> = [1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0]
         .into_iter()
         .map(|alpha| {
@@ -152,6 +128,7 @@ pub fn fig14(config: &ExperimentConfig) -> Result<ExperimentResult> {
         })
         .collect();
     sweep(
+        req,
         "fig14",
         "Minimum profit capture over a range of alpha in [1.1, 10]",
         variants,
@@ -161,7 +138,7 @@ pub fn fig14(config: &ExperimentConfig) -> Result<ExperimentResult> {
 }
 
 /// Fig. 15: worst-case capture over the blended rate P0 ∈ [5, 30].
-pub fn fig15(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn fig15(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let variants: Vec<(String, ExperimentConfig)> = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
         .into_iter()
         .map(|p0| {
@@ -175,6 +152,7 @@ pub fn fig15(config: &ExperimentConfig) -> Result<ExperimentResult> {
         })
         .collect();
     sweep(
+        req,
         "fig15",
         "Minimum profit capture over starting prices P0 in [5, 30]",
         variants,
@@ -186,7 +164,7 @@ pub fn fig15(config: &ExperimentConfig) -> Result<ExperimentResult> {
 /// Fig. 16: capture envelope over the no-purchase share s0 ∈ (0, 0.9]
 /// (logit only). Emits both the min (per §4.3.2's text) and the max (per
 /// the figure caption).
-pub fn fig16(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn fig16(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let variants: Vec<(String, ExperimentConfig)> = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9]
         .into_iter()
         .map(|s0| {
@@ -199,19 +177,23 @@ pub fn fig16(config: &ExperimentConfig) -> Result<ExperimentResult> {
             )
         })
         .collect();
-    let mut r = sweep(
+    let assemble = sweep(
+        req,
         "fig16",
         "Profit capture envelope over no-purchase share s0 in (0, 0.9]",
         variants,
         &[DemandFamily::Logit],
         true,
-    )?;
-    r.notes.push(
-        "the caption of Fig. 16 says 'maximum' while §4.3.2's text says 'minimum \
-         observed profit capture'; both envelopes are emitted"
-            .into(),
     );
-    Ok(r)
+    Box::new(move |outcome| {
+        let mut r = assemble(outcome)?;
+        r.notes.push(
+            "the caption of Fig. 16 says 'maximum' while §4.3.2's text says 'minimum \
+             observed profit capture'; both envelopes are emitted"
+                .into(),
+        );
+        Ok(r)
+    })
 }
 
 #[cfg(test)]
@@ -225,11 +207,15 @@ mod tests {
         }
     }
 
+    fn run(id: &str) -> ExperimentResult {
+        crate::runners::run(id, &config()).unwrap().unwrap()
+    }
+
     #[test]
     fn fig14_worst_case_capture_stays_high() {
         // §4.3.2: two bundles on the EU ISP yield ~0.8 capture regardless
         // of the parameter; by 4 bundles every network is high.
-        let r = fig14(&config()).unwrap();
+        let r = run("fig14");
         for f in &r.figures {
             let eu = f.series_named("EU ISP (min)").unwrap();
             assert!(eu.y[1] > 0.45, "{}: EU 2-bundle min {}", f.id, eu.y[1]);
@@ -250,7 +236,7 @@ mod tests {
 
     #[test]
     fn fig15_envelopes_bounded_and_start_at_zero() {
-        let r = fig15(&config()).unwrap();
+        let r = run("fig15");
         for f in &r.figures {
             for s in &f.series {
                 assert!(s.y[0].abs() < 1e-6, "capture at 1 bundle");
@@ -263,7 +249,7 @@ mod tests {
 
     #[test]
     fn fig16_max_dominates_min() {
-        let r = fig16(&config()).unwrap();
+        let r = run("fig16");
         let f = &r.figures[0];
         for network in Network::ALL {
             let min = f.series_named(&format!("{} (min)", network.label())).unwrap();

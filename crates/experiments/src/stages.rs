@@ -1,12 +1,15 @@
 //! Stage implementations for the experiment runners, plus the shared
 //! graph executor behind `--store`/`--resume`/`--explain`.
 //!
-//! Every runner compiles its work into a [`transit_stage::Graph`]:
-//! dataset nodes (the `dataset.generate` stage from `transit-datasets`)
-//! feed numeric work stages, and figure/table assembly happens inline in
-//! the runner from the decoded artifacts — so figure JSON is
-//! byte-identical to the pre-stage-graph harness (pinned by the golden
-//! regressions), with or without a store.
+//! One invocation compiles every requested experiment into a single
+//! [`transit_stage::Graph`]: dataset nodes (the `dataset.generate` stage
+//! from `transit-datasets`) feed numeric work stages, and each runner
+//! returns an [`Assembler`] that builds its figures and tables from the
+//! decoded artifacts once the graph has run. Because the graph keeps one
+//! node per fingerprint, a stage that several experiments request (the
+//! three datasets, shared capture curves) runs once per invocation, with
+//! or without a store; figure JSON is the same either way (pinned by the
+//! golden regressions).
 //!
 //! | kind            | params                                        | deps    | artifact           |
 //! |-----------------|-----------------------------------------------|---------|--------------------|
@@ -15,9 +18,9 @@
 //! | `exp.table1row` | network                                       | dataset | table row cells    |
 //! | `exp.result`    | id + the runner's output-affecting knobs      | —       | whole result       |
 //!
-//! Execution knobs (`--jobs`, `--threads`, `--ingest-workers`, the store
-//! path itself) never appear in params: they cannot change output, so
-//! they must not change fingerprints.
+//! Execution knobs (`--threads`, the store path itself) never appear in
+//! params: they cannot change output, so they must not change
+//! fingerprints.
 
 use std::path::Path;
 
@@ -33,7 +36,9 @@ use transit_core::flow::split_by_dest_class;
 use transit_datasets::stages::{decode_dataset, GenerateStage};
 use transit_datasets::{DatasetStats, Network};
 use transit_stage::codec::{push_string, Cursor};
-use transit_stage::{canon, Artifact, Executor, Graph, NodeId, RunOutcome, Stage, Store};
+use transit_stage::{
+    canon, Artifact, Executor, Graph, NodeId, RunOutcome, Stage, StageReport, Store,
+};
 
 use crate::config::ExperimentConfig;
 use crate::markets::fit_market_at;
@@ -131,8 +136,8 @@ fn read_f64s(c: &mut Cursor<'_>) -> std::result::Result<Vec<f64>, String> {
 }
 
 /// Encodes a whole [`ExperimentResult`] (id, title, notes, tables,
-/// figures) byte-exactly; timings and stage reports are execution
-/// metadata, not results, and are deliberately excluded.
+/// figures) byte-exactly; stage reports are execution metadata, not
+/// results, and are deliberately excluded.
 pub fn encode_result(r: &ExperimentResult) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(b"TTRESU1\n");
@@ -537,28 +542,105 @@ impl Stage for ResultStage {
 // Graph construction and execution helpers
 // ---------------------------------------------------------------------------
 
-/// Adds a `dataset.generate` node for `(network, n_flows, seed)`. The
-/// same triple produces the same fingerprint in every runner, so a
-/// shared store serves one dataset artifact to all of them.
-pub fn dataset_node(graph: &mut Graph, network: Network, n_flows: usize, seed: u64) -> NodeId {
-    graph.add_labeled(
+/// Builds an experiment's result from the artifacts of the invocation's
+/// graph run. Runners return one after adding their nodes.
+pub type Assembler = Box<dyn FnOnce(&RunOutcome) -> Result<ExperimentResult>>;
+
+/// The labeled `dataset.generate` stage for `(network, n_flows, seed)`.
+fn dataset_stage(network: Network, n_flows: usize, seed: u64) -> (String, GenerateStage) {
+    (
         format!("dataset {}/n{n_flows}/s{seed}", network.label()),
         GenerateStage {
             network,
             n_flows,
             seed,
         },
-        &[],
     )
 }
 
-/// Executes a runner's graph under the config's store settings:
+/// Adds a `dataset.generate` node for `(network, n_flows, seed)`. The
+/// same triple produces the same fingerprint in every runner, so one
+/// graph (or a shared store) serves one dataset artifact to all of them.
+pub fn dataset_node(graph: &mut Graph, network: Network, n_flows: usize, seed: u64) -> NodeId {
+    let (label, stage) = dataset_stage(network, n_flows, seed);
+    graph.add_labeled(label, stage, &[])
+}
+
+/// One experiment's view of the invocation's graph: every node it adds
+/// is recorded, in request order and under the label it asked for, so
+/// its stage reports list exactly the nodes it used — including nodes
+/// that an earlier experiment already added.
+pub struct Requests<'g> {
+    graph: &'g mut Graph,
+    requested: Vec<(NodeId, String)>,
+}
+
+impl<'g> Requests<'g> {
+    /// Starts recording one experiment's requests against `graph`.
+    pub fn new(graph: &'g mut Graph) -> Requests<'g> {
+        Requests {
+            graph,
+            requested: Vec::new(),
+        }
+    }
+
+    /// Adds (or finds) a stage node and records the request.
+    pub fn add<S: Stage + 'static>(
+        &mut self,
+        label: impl Into<String>,
+        stage: S,
+        deps: &[NodeId],
+    ) -> NodeId {
+        let label = label.into();
+        let node = self.graph.add_labeled(label.clone(), stage, deps);
+        self.requested.push((node, label));
+        node
+    }
+
+    /// Adds (or finds) the `dataset.generate` node for `(network,
+    /// n_flows, seed)`; see [`dataset_node`].
+    pub fn dataset(&mut self, network: Network, n_flows: usize, seed: u64) -> NodeId {
+        let (label, stage) = dataset_stage(network, n_flows, seed);
+        self.add(label, stage, &[])
+    }
+
+    /// The recorded `(node, label)` requests, in request order.
+    pub fn into_requested(self) -> Vec<(NodeId, String)> {
+        self.requested
+    }
+}
+
+/// Per-request stage reports for one experiment. `served[i]` marks
+/// nodes whose report an earlier request already carried: those read
+/// `hit: true` with zero seconds, because this request was served
+/// without computing.
+pub fn stage_reports(
+    requested: Vec<(NodeId, String)>,
+    outcome: &RunOutcome,
+    served: &mut [bool],
+) -> Vec<StageReport> {
+    requested
+        .into_iter()
+        .map(|(node, label)| {
+            let report = &outcome.reports[node.index()];
+            let first = !std::mem::replace(&mut served[node.index()], true);
+            StageReport {
+                label,
+                kind: report.kind.clone(),
+                fingerprint: report.fingerprint,
+                hit: report.hit || !first,
+                seconds: if first { report.seconds } else { 0.0 },
+            }
+        })
+        .collect()
+}
+
+/// Executes an invocation's graph under the config's store settings:
 /// `--store` attaches the artifact cache (`--resume` requires the store
-/// directory to already exist), `--explain` prints the hit/miss plan to
-/// stderr, and `--jobs` caps stage concurrency exactly as it caps sweep
-/// items.
-pub fn execute(id: &str, config: &ExperimentConfig, graph: &Graph) -> Result<RunOutcome> {
-    let mut exec = Executor::new().width_cap(config.jobs);
+/// directory to already exist) and `--explain` prints the hit/miss plan
+/// to stderr, headed by `name`.
+pub fn execute(name: &str, config: &ExperimentConfig, graph: &Graph) -> Result<RunOutcome> {
+    let mut exec = Executor::new();
     match (&config.store, config.resume) {
         (Some(dir), resume) => {
             let store = if resume {
@@ -575,32 +657,27 @@ pub fn execute(id: &str, config: &ExperimentConfig, graph: &Graph) -> Result<Run
         (None, false) => {}
     }
     if config.explain {
-        eprintln!("{id}: stage plan");
+        eprintln!("{name}: stage plan");
         eprint!("{}", exec.plan(graph).render());
     }
     exec.run(graph).map_err(|e| stage_error(e.to_string()))
 }
 
-/// Runs a single [`ResultStage`] graph and decodes its artifact back
-/// into the runner's [`ExperimentResult`], attaching the stage reports.
-pub fn run_result_stage(
-    config: &ExperimentConfig,
+/// Adds a single [`ResultStage`] node and returns the assembler that
+/// decodes its artifact back into the runner's [`ExperimentResult`].
+pub fn result_stage(
+    requests: &mut Requests<'_>,
     id: &'static str,
     params: Content,
     compute: impl Fn() -> Result<ExperimentResult> + Send + Sync + 'static,
-) -> Result<ExperimentResult> {
-    let mut graph = Graph::new();
-    let node = graph.add_labeled(id, ResultStage::new(id, params, compute), &[]);
-    let outcome = execute(id, config, &graph)?;
-    let mut r = decode_result(outcome.artifact(node).bytes()).map_err(stage_error)?;
-    r.stage_reports = outcome.reports;
-    Ok(r)
+) -> Assembler {
+    let node = requests.add(id, ResultStage::new(id, params, compute), &[]);
+    Box::new(move |outcome| decode_result(outcome.artifact(node).bytes()).map_err(stage_error))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ItemTiming;
 
     #[test]
     fn curve_codec_roundtrips_exactly() {
@@ -640,14 +717,18 @@ mod tests {
                 y: vec![0.25, std::f64::consts::FRAC_1_SQRT_2],
             }],
         });
-        // Timings are execution metadata and must not survive encoding.
-        r.timings.push(ItemTiming {
+        // Stage reports are execution metadata and must not survive
+        // encoding.
+        r.stage_reports.push(StageReport {
             label: "x".into(),
+            kind: "exp.result".into(),
+            fingerprint: transit_stage::Fingerprint([1; 32]),
+            hit: false,
             seconds: 1.0,
         });
         let back = decode_result(&encode_result(&r)).unwrap();
         assert_eq!(back.to_json(), r.to_json(), "JSON byte-identical");
-        assert!(back.timings.is_empty());
+        assert!(back.stage_reports.is_empty());
     }
 
     #[test]

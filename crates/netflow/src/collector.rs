@@ -294,8 +294,7 @@ impl Collector {
     /// stats, and journal samples are identical to the serial loop.
     pub fn ingest_batch<D: AsRef<[u8]> + Sync>(&mut self, datagrams: &[D]) -> usize {
         // `self.workers` is a cap within the process-wide pool budget
-        // (`--ingest-workers` within `--threads`); a budget of 1 takes
-        // the serial path outright.
+        // (`--threads`); a budget of 1 takes the serial path outright.
         let workers = self
             .workers
             .min(transit_pool::thread_budget())

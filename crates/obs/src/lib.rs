@@ -59,16 +59,13 @@ pub mod trace;
 
 pub use fsutil::atomic_write;
 pub use level::{level_enabled, log_level, set_log_level, Level};
-pub use manifest::{git_rev, RunManifest, RunTimings};
+pub use manifest::{git_rev, RunManifest};
 pub use metrics::{
     reset as reset_metrics, snapshot as snapshot_metrics, Counter, Histogram, HistogramSnapshot,
     MetricsSnapshot,
 };
 pub use serve::{serve as serve_metrics, MetricsServer};
-pub use span::{
-    batch_flushes, current_path, inherit_path, reset_spans, snapshot_spans, FlushBatch, Span,
-    SpanNode,
-};
+pub use span::{current_path, inherit_path, reset_spans, snapshot_spans, Span, SpanNode};
 
 /// Enters an info-level span; returns a guard that records the span's
 /// wall-clock time when dropped.
@@ -123,7 +120,7 @@ macro_rules! debug_span {
 /// site (steady-state cost: one relaxed atomic add).
 ///
 /// ```
-/// transit_obs::counter!("sweep.items.completed").inc();
+/// transit_obs::counter!("stage.store.hits").inc();
 /// ```
 #[macro_export]
 macro_rules! counter {
@@ -138,7 +135,7 @@ macro_rules! counter {
 /// site.
 ///
 /// ```
-/// transit_obs::histogram!("sweep.item_micros").record(1500);
+/// transit_obs::histogram!("pool.queue.depth").record(3);
 /// ```
 #[macro_export]
 macro_rules! histogram {

@@ -9,13 +9,13 @@
 //!   "schema": "transit-obs/v1",
 //!   "created_unix_secs": 1754000000,
 //!   "git_rev": "56c0615…",
-//!   "jobs": 8,
+//!   "threads": 8,
 //!   "seed": 42,
 //!   "config": { … the caller's config, verbatim … },
 //!   "experiments": ["fig8"],
 //!   "spans": { "experiment(id=fig8)": {"count":1,"seconds":…,"children":{…}} },
 //!   "metrics": { "counters": {…}, "histograms": {…} },
-//!   "timings": { "fig8": [ {"label":"fig8a/Optimal","seconds":…}, … ] }
+//!   "stages": { "fig8": [ {"label":"fig8a/Optimal","kind":"exp.capture",…}, … ] }
 //! }
 //! ```
 //!
@@ -30,9 +30,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::metrics::MetricsSnapshot;
 use crate::span::{tree_to_content, SpanNode};
 
-/// Per-item timings for one experiment: `(label, seconds)` pairs.
-pub type RunTimings = Vec<(String, f64)>;
-
 /// A complete description of one harness run.
 #[derive(Debug, Clone)]
 pub struct RunManifest {
@@ -42,8 +39,8 @@ pub struct RunManifest {
     pub created_unix_secs: u64,
     /// Git revision the binary ran from (`"unknown"` outside a repo).
     pub git_rev: String,
-    /// Worker-thread count the run used.
-    pub jobs: usize,
+    /// Thread-pool budget the run used.
+    pub threads: usize,
     /// RNG seed the run used.
     pub seed: u64,
     /// The caller's configuration, pre-rendered to the serde data model.
@@ -54,8 +51,6 @@ pub struct RunManifest {
     pub spans: BTreeMap<String, SpanNode>,
     /// Snapshot of the metrics registry.
     pub metrics: MetricsSnapshot,
-    /// Per-experiment item timings, keyed by experiment id.
-    pub timings: BTreeMap<String, RunTimings>,
     /// Per-experiment stage-graph execution reports (fingerprints,
     /// cache hits, timings), pre-rendered to the serde data model by
     /// the caller. `Null` when the run recorded no stage data.
@@ -68,9 +63,8 @@ impl RunManifest {
     pub fn capture(
         config: serde::Content,
         seed: u64,
-        jobs: usize,
+        threads: usize,
         experiments: Vec<String>,
-        timings: BTreeMap<String, RunTimings>,
     ) -> RunManifest {
         RunManifest {
             schema: "transit-obs/v1".to_string(),
@@ -79,13 +73,12 @@ impl RunManifest {
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
             git_rev: git_rev(),
-            jobs,
+            threads,
             seed,
             config,
             experiments,
             spans: crate::span::snapshot_spans(),
             metrics: crate::metrics::snapshot(),
-            timings,
             stages: serde::Content::Null,
         }
     }
@@ -118,27 +111,6 @@ impl RunManifest {
 
 impl serde::Serialize for RunManifest {
     fn to_content(&self) -> serde::Content {
-        let timings = serde::Content::Map(
-            self.timings
-                .iter()
-                .map(|(id, items)| {
-                    (
-                        id.clone(),
-                        serde::Content::Seq(
-                            items
-                                .iter()
-                                .map(|(label, seconds)| {
-                                    serde::Content::Map(vec![
-                                        ("label".into(), serde::Content::Str(label.clone())),
-                                        ("seconds".into(), serde::Content::F64(*seconds)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        );
         serde::Content::Map(vec![
             ("schema".into(), serde::Content::Str(self.schema.clone())),
             (
@@ -146,7 +118,7 @@ impl serde::Serialize for RunManifest {
                 serde::Content::U64(self.created_unix_secs),
             ),
             ("git_rev".into(), serde::Content::Str(self.git_rev.clone())),
-            ("jobs".into(), serde::Content::U64(self.jobs as u64)),
+            ("threads".into(), serde::Content::U64(self.threads as u64)),
             ("seed".into(), serde::Content::U64(self.seed)),
             ("config".into(), self.config.clone()),
             (
@@ -160,7 +132,6 @@ impl serde::Serialize for RunManifest {
             ),
             ("spans".into(), tree_to_content(&self.spans)),
             ("metrics".into(), serde::Serialize::to_content(&self.metrics)),
-            ("timings".into(), timings),
             ("stages".into(), self.stages.clone()),
         ])
     }
@@ -214,11 +185,6 @@ mod tests {
     use super::*;
 
     fn sample() -> RunManifest {
-        let mut timings = BTreeMap::new();
-        timings.insert(
-            "fig8".to_string(),
-            vec![("fig8a/Optimal".to_string(), 0.25)],
-        );
         RunManifest::capture(
             serde::Content::Map(vec![(
                 "n_flows".into(),
@@ -227,8 +193,14 @@ mod tests {
             42,
             8,
             vec!["fig8".to_string()],
-            timings,
         )
+        .with_stages(serde::Content::Map(vec![(
+            "fig8".into(),
+            serde::Content::Seq(vec![serde::Content::Map(vec![(
+                "label".into(),
+                serde::Content::Str("fig8a/Optimal".into()),
+            )])]),
+        )]))
     }
 
     #[test]
@@ -239,7 +211,8 @@ mod tests {
         assert_eq!(v["seed"], 42i64);
         assert_eq!(v["config"]["n_flows"], 120i64);
         assert_eq!(v["experiments"][0], "fig8");
-        assert_eq!(v["timings"]["fig8"][0]["label"], "fig8a/Optimal");
+        assert_eq!(v["threads"], 8i64);
+        assert_eq!(v["stages"]["fig8"][0]["label"], "fig8a/Optimal");
         assert!(!v["git_rev"].as_str().unwrap().is_empty());
     }
 

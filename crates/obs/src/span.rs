@@ -6,24 +6,24 @@
 //! closing one touches no locks. Closing a nested span folds its timing
 //! into the parent frame; only when a *root* span (no parent on this
 //! thread) closes does the aggregate subtree merge into the global
-//! registry, taking the registry mutex once per root. Sweep workers
-//! therefore pay one lock per work item, not per span.
+//! registry, taking the registry mutex once per root. Pool workers
+//! therefore pay one lock per task, not per span.
 //!
 //! ## Aggregation model
 //!
 //! Spans with the same key (`name` or `name(label=value, ...)`) under
 //! the same parent aggregate into one [`SpanNode`] carrying a call count
 //! and summed nanoseconds, so a sweep of 500 items produces one
-//! `sweep.item` node with `count == 500`, not 500 tree entries. Keys are
+//! `stage.run` node with `count == 500`, not 500 tree entries. Keys are
 //! data, not identity: keep label cardinality low.
 //!
 //! ## Cross-thread nesting
 //!
 //! Worker threads have their own (empty) stacks, so their roots would
-//! surface at the top level of the tree. A pool that wants worker spans
-//! to appear under the phase that spawned them captures
+//! surface at the top level of the tree. `transit_pool` captures
 //! [`current_path`] on the submitting thread and pins it on each worker
-//! with [`inherit_path`]; worker roots then merge under that path.
+//! with [`inherit_path`] for the task's duration; worker roots then
+//! merge under the span that submitted them.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -105,9 +105,6 @@ thread_local! {
     /// Path prefix under which this thread's root spans merge (empty on
     /// threads that never called [`inherit_path`]).
     static BASE: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-    /// Buffer for deferred root flushes (`Some` while a [`batch_flushes`]
-    /// guard is alive on this thread).
-    static BATCH: RefCell<Option<BTreeMap<String, SpanNode>>> = const { RefCell::new(None) };
 }
 
 fn registry() -> &'static Mutex<BTreeMap<String, SpanNode>> {
@@ -182,20 +179,8 @@ impl Drop for Span {
 }
 
 /// Merges a completed root span into the global registry under this
-/// thread's base path (one mutex acquisition) — or, while a
-/// [`batch_flushes`] guard is alive on this thread, into its lock-free
-/// local buffer.
+/// thread's base path (one mutex acquisition).
 fn flush_root(key: String, node: SpanNode) {
-    let passthrough = BATCH.with(|batch| match batch.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.entry(key).or_default().merge(node);
-            None
-        }
-        None => Some((key, node)),
-    });
-    let Some((key, node)) = passthrough else {
-        return;
-    };
     let base = BASE.with(|base| base.borrow().clone());
     let mut tree = registry().lock().expect("span registry poisoned");
     let mut children = &mut *tree;
@@ -203,64 +188,6 @@ fn flush_root(key: String, node: SpanNode) {
         children = &mut children.entry(segment).or_default().children;
     }
     children.entry(key).or_default().merge(node);
-}
-
-/// Flushes a batch of root-span subtrees under the thread's base path
-/// with a single registry lock.
-fn flush_batch(batch: BTreeMap<String, SpanNode>) {
-    if batch.is_empty() {
-        return;
-    }
-    let base = BASE.with(|base| base.borrow().clone());
-    let mut tree = registry().lock().expect("span registry poisoned");
-    let mut children = &mut *tree;
-    for segment in base {
-        children = &mut children.entry(segment).or_default().children;
-    }
-    for (key, node) in batch {
-        children.entry(key).or_default().merge(node);
-    }
-}
-
-/// Merges the buffered roots into the registry when dropped.
-#[must_use = "dropping the guard immediately ends batching"]
-pub struct FlushBatch {
-    /// Only the outermost guard owns (and flushes) the buffer.
-    owner: bool,
-}
-
-/// Defers this thread's root-span flushes into a local buffer until the
-/// returned guard drops, then merges them with **one** registry lock.
-///
-/// Hot loops that open many short root spans (e.g. a sweep worker's
-/// per-item spans) would otherwise take the registry mutex once per
-/// span; batching makes the loop lock-free and contention-independent.
-/// Aggregation output is identical — the buffer merges exactly like the
-/// registry does. Guards nest; the outermost one flushes. Drop the guard
-/// before any [`inherit_path`] guard installed on the same thread, so
-/// the flush still sees the intended base path.
-pub fn batch_flushes() -> FlushBatch {
-    let owner = BATCH.with(|batch| {
-        let mut batch = batch.borrow_mut();
-        if batch.is_none() {
-            *batch = Some(BTreeMap::new());
-            true
-        } else {
-            false
-        }
-    });
-    FlushBatch { owner }
-}
-
-impl Drop for FlushBatch {
-    fn drop(&mut self) {
-        if !self.owner {
-            return;
-        }
-        if let Some(buf) = BATCH.with(|batch| batch.borrow_mut().take()) {
-            flush_batch(buf);
-        }
-    }
 }
 
 /// The active span path on this thread (base path plus open frames,
@@ -361,50 +288,6 @@ mod tests {
         let path = current_path();
         let tail: Vec<&str> = path.iter().map(String::as_str).collect();
         assert!(tail.ends_with(&["span_test.path_outer", "span_test.path_inner"]));
-    }
-
-    #[test]
-    fn batched_flushes_merge_identically_under_base_path() {
-        let path = vec!["span_test.batch_phase".to_string()];
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _path = inherit_path(path.clone());
-                let _batch = batch_flushes();
-                for _ in 0..5 {
-                    let _s = Span::enter(Level::Info, "span_test.batch_item", String::new);
-                }
-                // Nothing visible until the batch guard drops.
-                let before = snapshot_spans();
-                assert!(
-                    before
-                        .get("span_test.batch_phase")
-                        .map(|p| p.children.contains_key("span_test.batch_item"))
-                        != Some(true),
-                    "batched spans must not reach the registry early"
-                );
-            });
-        });
-        let tree = snapshot_spans();
-        let phase = tree.get("span_test.batch_phase").expect("base path materialized");
-        let item = phase.children.get("span_test.batch_item").expect("batch flushed");
-        assert_eq!(item.count, 5, "all batched spans aggregate into one node");
-    }
-
-    #[test]
-    fn nested_batch_guards_flush_once_at_outermost() {
-        {
-            let _outer_guard = batch_flushes();
-            {
-                let _inner_guard = batch_flushes();
-                let _s = Span::enter(Level::Info, "span_test.nested_batch", String::new);
-            }
-            // Inner guard dropped but outer still owns the buffer.
-            assert!(
-                !snapshot_spans().contains_key("span_test.nested_batch"),
-                "inner guard must not flush"
-            );
-        }
-        assert!(snapshot_spans().contains_key("span_test.nested_batch"));
     }
 
     #[test]

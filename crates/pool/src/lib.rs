@@ -5,14 +5,14 @@
 //! decode chunks, capture-curve fan-out). Before this crate each layer
 //! spawned fresh OS threads per call via `std::thread::scope` with an
 //! independent knob, so nested regions could oversubscribe each other
-//! (`--jobs 8` × `--dp-threads 8` = 64 runnable threads on an 8-core
+//! (8 sweep threads × 8 DP threads = 64 runnable threads on an 8-core
 //! box). The pool replaces that with:
 //!
 //! * **One process-wide core budget** ([`set_thread_budget`], default =
-//!   `available_parallelism`). Per-layer knobs become *caps* inside the
-//!   budget, and a nested [`fanout`] runs its tasks under a child budget
-//!   of `parent / width` — nested regions split the budget instead of
-//!   multiplying threads.
+//!   `available_parallelism`; the CLI's `--threads`). A region's width
+//!   argument is a *cap* inside the budget, and a nested [`fanout`] runs
+//!   its tasks under a child budget of `parent / width` — nested
+//!   regions split the budget instead of multiplying threads.
 //! * **Persistent workers** with per-worker deques plus a global
 //!   injector. Owners push/pop their own deque LIFO; thieves and the
 //!   injector are drained FIFO. Idle workers park on a condvar and are
@@ -40,6 +40,11 @@
 //! fanouts, forming a finite tree.
 //!
 //! ## Observability
+//!
+//! A task's spans nest under the span that was open where its fanout
+//! was submitted: at `info` level and above, [`fanout`] captures the
+//! submitter's [`transit_obs::current_path`] and every worker pins it
+//! with [`transit_obs::inherit_path`] while it runs the task.
 //!
 //! `pool.tasks.executed`, `pool.tasks.inline`, `pool.tasks.cancelled`,
 //! `pool.steals`, `pool.parks`, `pool.unparks`, `pool.workers.spawned`
@@ -87,9 +92,8 @@ fn core_count() -> usize {
 
 /// Sets the process-wide thread budget. `0` means "all cores"
 /// (`available_parallelism`). The budget is the total number of cores
-/// any tree of nested parallel regions may use; per-layer knobs
-/// (`--jobs`, `--dp-threads`, `--ingest-workers`) act as caps within
-/// it.
+/// any tree of nested parallel regions may use; a region's width
+/// argument acts as a cap within it.
 pub fn set_thread_budget(n: usize) {
     GLOBAL_BUDGET.store(n, Ordering::Relaxed);
 }
@@ -154,6 +158,9 @@ struct Shell {
     call: unsafe fn(*const (), usize),
     data: *const (),
     child_budget: usize,
+    /// The submitter's span path (`None` when spans are off), pinned
+    /// on the worker for the task's duration.
+    span_path: Option<Vec<String>>,
 }
 
 unsafe fn call_closure<F: Fn(usize)>(data: *const (), slot: usize) {
@@ -287,9 +294,15 @@ impl Pool {
         }
     }
 
-    /// Publishes copies (owner deque if called from a worker, injector
-    /// otherwise), then registers them as pending and wakes sleepers.
+    /// Registers copies as pending, publishes them (owner deque if
+    /// called from a worker, injector otherwise), and wakes sleepers.
+    ///
+    /// `pending` grows before any copy is claimable: a worker that
+    /// claims a copy retires it at once, and retiring an unregistered
+    /// copy would underflow the count.
     fn submit(&self, copies: &[Arc<TaskCopy>]) {
+        let mut st = self.park.lock().unwrap();
+        st.pending += copies.len();
         let depth = match WORKER_INDEX.with(Cell::get) {
             Some(me) => {
                 let mut dq = self.queues[me].deque.lock().unwrap();
@@ -306,11 +319,9 @@ impl Pool {
                 inj.len()
             }
         };
-        histogram!("pool.queue.depth").record(depth as u64);
-        let mut st = self.park.lock().unwrap();
-        st.pending += copies.len();
         let wake = copies.len().min(st.sleepers);
         drop(st);
+        histogram!("pool.queue.depth").record(depth as u64);
         for _ in 0..wake {
             counter!("pool.unparks").inc();
             self.park_cv.notify_one();
@@ -369,8 +380,9 @@ impl Pool {
     }
 }
 
-/// Runs one claimed copy: installs the child budget, invokes the shared
-/// closure, records panics into the latch, completes.
+/// Runs one claimed copy: installs the child budget and the
+/// submitter's span path, invokes the shared closure, records panics
+/// into the latch, completes.
 fn execute(copy: &TaskCopy) {
     counter!("pool.tasks.executed").inc();
     // SAFETY: we won the QUEUED→RUNNING claim, so the fanout caller is
@@ -378,6 +390,7 @@ fn execute(copy: &TaskCopy) {
     // and the shell + closure are alive.
     let shell = unsafe { &*copy.shell };
     let prev = LOCAL_BUDGET.with(|b| b.replace(Some(shell.child_budget)));
+    let _path = shell.span_path.clone().map(transit_obs::inherit_path);
     let result = catch_unwind(AssertUnwindSafe(|| unsafe {
         (shell.call)(shell.data, copy.slot)
     }));
@@ -399,7 +412,9 @@ fn execute(copy: &TaskCopy) {
 /// rather than own a distinct piece — see [`run_indexed`] /
 /// [`for_each_mut`], which wrap this correctly.
 ///
-/// A `width` of 1 degenerates to a plain inline call — no pool, no
+/// Spans a task opens on a worker nest under the span path open on the
+/// calling thread at submit, so a pooled region profiles like a serial
+/// one. A `width` of 1 degenerates to a plain inline call — no pool, no
 /// atomics. Panics from any slot are propagated to the caller after all
 /// slots have finished (the caller's own panic is held until
 /// outstanding copies complete, so the shared closure is never freed
@@ -421,6 +436,8 @@ pub fn fanout<F: Fn(usize) + Sync>(width_cap: usize, f: F) {
         call: call_closure::<F>,
         data: &f as *const F as *const (),
         child_budget: child,
+        span_path: transit_obs::level_enabled(transit_obs::Level::Info)
+            .then(transit_obs::current_path),
     };
     let latch = Arc::new(Latch::new(width - 1));
     let copies: Vec<Arc<TaskCopy>> = (1..width)
@@ -722,6 +739,56 @@ mod tests {
         drop(_b);
         let _b = scoped_budget(1);
         assert_eq!(effective_width(0), 1);
+    }
+
+    /// Many threads submitting fanouts at once. Every copy must be
+    /// registered as pending before a worker can claim and retire it;
+    /// otherwise the count underflows on a worker, which kills the
+    /// worker and strands the copy it claimed, so its fanout never
+    /// returns. A hang fails the test through the timeout.
+    #[test]
+    fn concurrent_submitters_never_strand_a_copy() {
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            thread::scope(|scope| {
+                for submitter in 0..6usize {
+                    scope.spawn(move || {
+                        let _b = scoped_budget(8);
+                        let items: Vec<usize> = (0..12).collect();
+                        for round in 0..3_000usize {
+                            let out = run_indexed(0, &items, |i, &x| i + x + round);
+                            assert_eq!(out[11], 22 + round, "submitter {submitter}");
+                        }
+                    });
+                }
+            });
+            done.send(()).ok();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("concurrent fanouts hung or panicked");
+    }
+
+    #[test]
+    fn worker_spans_nest_under_the_submitting_span() {
+        // Two items meet at a barrier, so one of them must run on a
+        // pool worker while the caller runs the other.
+        let _b = scoped_budget(2);
+        let meet = std::sync::Barrier::new(2);
+        {
+            let _outer = transit_obs::span!("pool_test.submit");
+            run_indexed(0, &[(), ()], |_, _| {
+                let _s = transit_obs::span!("pool_test.task");
+                meet.wait();
+            });
+        }
+        let tree = transit_obs::snapshot_spans();
+        assert!(
+            !tree.contains_key("pool_test.task"),
+            "pooled task spans must not surface as roots"
+        );
+        let outer = tree.get("pool_test.submit").expect("outer span recorded");
+        assert_eq!(outer.children["pool_test.task"].count, 2);
     }
 
     #[test]

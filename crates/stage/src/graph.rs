@@ -23,9 +23,17 @@
 //! (kind, epoch, params, deps) tuples can serialize to the same byte
 //! stream. The fingerprint therefore changes when any parameter, any
 //! transitive input, or the stage's declared `code_epoch` changes — and
-//! only then. Knobs that cannot affect output (thread counts, jobs,
-//! log level, the store path itself) must never appear in `params`.
+//! only then. Knobs that cannot affect output (thread counts, log
+//! level, the store path itself) must never appear in `params`.
+//!
+//! The graph computes each fingerprint when the node is added and keys
+//! its nodes by it: adding a stage whose fingerprint is already present
+//! returns the existing node. A whole invocation can therefore compile
+//! every experiment into one graph, and a stage that several
+//! experiments request (the same dataset, the same capture curve) runs
+//! once.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -79,10 +87,12 @@ struct Node {
     label: String,
 }
 
-/// An append-only DAG of stages.
+/// An append-only DAG of stages, one node per distinct fingerprint.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    fingerprints: Vec<Fingerprint>,
+    by_fingerprint: HashMap<Fingerprint, NodeId>,
 }
 
 impl Graph {
@@ -102,28 +112,55 @@ impl Graph {
     }
 
     /// Adds a stage with an explicit human-facing label (plan lines,
-    /// timing reports), e.g. `"fig8/ced/EU ISP"`.
+    /// stage reports), e.g. `"fig8/ced/EU ISP"`.
+    ///
+    /// The node's fingerprint is computed here. If the graph already
+    /// holds a node with that fingerprint, its id is returned and the
+    /// new stage is dropped: the first label is kept.
     pub fn add_labeled<S: Stage + 'static>(
         &mut self,
         label: impl Into<String>,
         stage: S,
         deps: &[NodeId],
     ) -> NodeId {
-        let id = NodeId(self.nodes.len());
+        let next = self.nodes.len();
         for dep in deps {
             assert!(
-                dep.0 < id.0,
-                "dep {} is not a node of this graph (next id {})",
+                dep.0 < next,
+                "dep {} is not a node of this graph (next id {next})",
                 dep.0,
-                id.0
             );
         }
+        let fp = self.fingerprint_of(&stage, deps);
+        if let Some(&id) = self.by_fingerprint.get(&fp) {
+            return id;
+        }
+        let id = NodeId(next);
         self.nodes.push(Node {
             stage: Box::new(stage),
             deps: deps.to_vec(),
             label: label.into(),
         });
+        self.fingerprints.push(fp);
+        self.by_fingerprint.insert(fp, id);
         id
+    }
+
+    fn fingerprint_of(&self, stage: &dyn Stage, deps: &[NodeId]) -> Fingerprint {
+        let mut h = Sha256::new();
+        h.update(b"transit-stage/v1");
+        let kind = stage.kind().as_bytes();
+        h.update(&(kind.len() as u64).to_le_bytes());
+        h.update(kind);
+        h.update(&stage.code_epoch().to_le_bytes());
+        let canon = to_canonical_json(&stage.params());
+        h.update(&(canon.len() as u64).to_le_bytes());
+        h.update(canon.as_bytes());
+        h.update(&(deps.len() as u64).to_le_bytes());
+        for dep in deps {
+            h.update(&self.fingerprints[dep.0].0);
+        }
+        Fingerprint(h.finalize())
     }
 
     /// Number of stages.
@@ -136,32 +173,15 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// The label of a node.
+    /// The label of a node (the label it was first added under).
     pub fn label(&self, id: NodeId) -> &str {
         &self.nodes[id.0].label
     }
 
-    /// Computes every node's fingerprint (insertion order — which is
+    /// Every node's fingerprint, in insertion order (which is
     /// topological by construction).
-    pub fn fingerprints(&self) -> Vec<Fingerprint> {
-        let mut fps: Vec<Fingerprint> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let mut h = Sha256::new();
-            h.update(b"transit-stage/v1");
-            let kind = node.stage.kind().as_bytes();
-            h.update(&(kind.len() as u64).to_le_bytes());
-            h.update(kind);
-            h.update(&node.stage.code_epoch().to_le_bytes());
-            let canon = to_canonical_json(&node.stage.params());
-            h.update(&(canon.len() as u64).to_le_bytes());
-            h.update(canon.as_bytes());
-            h.update(&(node.deps.len() as u64).to_le_bytes());
-            for dep in &node.deps {
-                h.update(&fps[dep.0].0);
-            }
-            fps.push(Fingerprint(h.finalize()));
-        }
-        fps
+    pub fn fingerprints(&self) -> &[Fingerprint] {
+        &self.fingerprints
     }
 }
 
@@ -240,7 +260,9 @@ pub struct StageReport {
     pub kind: String,
     /// The node's content address.
     pub fingerprint: Fingerprint,
-    /// `true` if the artifact was loaded from the store (not computed).
+    /// `true` if the stage was served without computing: loaded from
+    /// the store, or already produced for an earlier request in the
+    /// same graph.
     pub hit: bool,
     /// Wall-clock seconds for this stage (load or compute).
     pub seconds: f64,
@@ -323,14 +345,13 @@ fn describe_metrics() {
 /// Runs a [`Graph`], optionally against a [`Store`].
 ///
 /// Scheduling is wave-based: all nodes whose deps are done form a wave
-/// and run concurrently on the shared pool (bounded by the width cap);
-/// artifacts land in deterministic node order regardless of which
-/// worker finished first. Stage `run` implementations are themselves
-/// free to use nested pool parallelism — the pool's budget sharing
-/// handles oversubscription.
+/// and run concurrently on the shared pool (as wide as the thread
+/// budget allows); artifacts land in deterministic node order
+/// regardless of which worker finished first. Stage `run`
+/// implementations are themselves free to use nested pool parallelism
+/// — the pool's budget sharing handles oversubscription.
 pub struct Executor {
     store: Option<Store>,
-    width_cap: usize,
     abort_after: Option<usize>,
 }
 
@@ -341,12 +362,10 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// An executor with no store (everything computes) and the full
-    /// pool width.
+    /// An executor with no store (everything computes).
     pub fn new() -> Executor {
         Executor {
             store: None,
-            width_cap: 0,
             abort_after: None,
         }
     }
@@ -358,17 +377,10 @@ impl Executor {
         self
     }
 
-    /// Caps concurrent stages (0 = one per available core, within the
-    /// pool budget). Mirrors the `--jobs` semantics.
-    pub fn width_cap(mut self, cap: usize) -> Executor {
-        self.width_cap = cap;
-        self
-    }
-
     /// Fault injection for kill-and-resume tests: the run returns
     /// [`StageError::Aborted`] once `n` stages have completed, exactly
-    /// at a stage boundary. Run with `width_cap(1)` for a deterministic
-    /// boundary position.
+    /// at a stage boundary. Run under `transit_pool::scoped_budget(1)`
+    /// for a deterministic boundary position.
     pub fn abort_after(mut self, n: usize) -> Executor {
         self.abort_after = Some(n);
         self
@@ -383,11 +395,10 @@ impl Executor {
     /// whether the store already holds each artifact. Read-only (does
     /// not touch mtimes).
     pub fn plan(&self, graph: &Graph) -> Plan {
-        let fps = graph.fingerprints();
         let entries = graph
             .nodes
             .iter()
-            .zip(&fps)
+            .zip(graph.fingerprints())
             .map(|(node, &fp)| PlanEntry {
                 label: node.label.clone(),
                 kind: node.stage.kind().to_string(),
@@ -433,10 +444,7 @@ impl Executor {
                 .collect();
             assert!(!ready.is_empty(), "graph is acyclic by construction");
 
-            let width = transit_pool::effective_width(self.width_cap)
-                .min(ready.len())
-                .max(1);
-            let results = transit_pool::run_indexed(width, &ready, |_, (i, deps)| {
+            let results = transit_pool::run_indexed(0, &ready, |_, (i, deps)| {
                 self.exec_node(graph, *i, fps[*i], deps, &completed)
             });
 

@@ -6,7 +6,9 @@
 //!
 //! - [`Stage`] — a typed, deterministic unit of work: parameters plus
 //!   input artifacts in, one output [`Artifact`] out.
-//! - [`Graph`] — an append-only DAG builder (acyclic by construction).
+//! - [`Graph`] — an append-only DAG builder (acyclic by construction)
+//!   that fingerprints each node as it is added and keeps one node per
+//!   fingerprint, so duplicate requests share one stage.
 //! - [`Store`] — a content-addressed on-disk artifact cache keyed by
 //!   [`Fingerprint`] = sha256(kind ∥ code-epoch ∥ canonical-JSON params
 //!   ∥ input fingerprints), with atomic footer-validated entries and
@@ -144,17 +146,46 @@ mod tests {
 
     #[test]
     fn executor_resolves_deps_in_any_width() {
-        let expected = Executor::new()
-            .width_cap(1)
-            .run(&diamond(42).0)
-            .unwrap()
-            .artifacts;
-        for width in [2, 8] {
-            let got = Executor::new().width_cap(width).run(&diamond(42).0).unwrap();
+        let expected = {
+            let _serial = transit_pool::scoped_budget(1);
+            Executor::new().run(&diamond(42).0).unwrap().artifacts
+        };
+        for budget in [2, 8] {
+            let _budget = transit_pool::scoped_budget(budget);
+            let got = Executor::new().run(&diamond(42).0).unwrap();
             for (a, b) in expected.iter().zip(&got.artifacts) {
-                assert_eq!(a, b, "width {width}");
+                assert_eq!(a, b, "budget {budget}");
             }
         }
+    }
+
+    #[test]
+    fn equal_fingerprints_share_one_node() {
+        let mut g = Graph::new();
+        let (first, first_runs) = TestStage::new("test.a", 5);
+        let (again, again_runs) = TestStage::new("test.a", 5);
+        let a = g.add_labeled("first", first, &[]);
+        let a2 = g.add_labeled("again", again, &[]);
+        assert_eq!(a, a2, "same fingerprint, same node");
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.label(a), "first", "the first label is kept");
+
+        // A dependent requested twice over the shared node also dedups,
+        // while a different param adds a node.
+        let b = g.add(TestStage::new("test.b", 6).0, &[a]);
+        assert_eq!(g.add(TestStage::new("test.b", 6).0, &[a2]), b);
+        let c = g.add(TestStage::new("test.b", 7).0, &[a]);
+        assert_ne!(b, c);
+        assert_eq!(g.len(), 3);
+        assert_eq!(g.fingerprints().len(), 3);
+
+        let out = Executor::new().run(&g).unwrap();
+        assert_eq!(out.reports.len(), 3);
+        let runs = |r: &std::sync::Arc<std::sync::atomic::AtomicUsize>| {
+            r.load(std::sync::atomic::Ordering::SeqCst)
+        };
+        assert_eq!(runs(&first_runs), 1);
+        assert_eq!(runs(&again_runs), 0, "the duplicate never runs");
     }
 
     #[test]
@@ -196,9 +227,9 @@ mod tests {
         for k in 0..4 {
             let (dir, store) = tmp_store(&format!("abort{k}"));
             let (g, _) = diamond(3);
+            let _serial = transit_pool::scoped_budget(1);
             let err = Executor::new()
                 .with_store(store.clone())
-                .width_cap(1)
                 .abort_after(k)
                 .run(&g)
                 .unwrap_err();
@@ -206,7 +237,7 @@ mod tests {
 
             // Resume: exactly k hits, the rest computed, output identical.
             let (g2, _) = diamond(3);
-            let resumed = Executor::new().with_store(store).width_cap(1).run(&g2).unwrap();
+            let resumed = Executor::new().with_store(store).run(&g2).unwrap();
             assert_eq!(resumed.reports.iter().filter(|r| r.hit).count(), k);
             for (a, b) in reference.artifacts.iter().zip(&resumed.artifacts) {
                 assert_eq!(a, b, "abort at {k}: resume must be byte-identical");
@@ -219,14 +250,14 @@ mod tests {
     fn plan_reports_hits_and_misses() {
         let (dir, store) = tmp_store("plan");
         let (g, _) = diamond(12);
-        let exec = Executor::new().with_store(store.clone()).width_cap(1);
+        let _serial = transit_pool::scoped_budget(1);
+        let exec = Executor::new().with_store(store.clone());
         let cold_plan = exec.plan(&g);
         assert_eq!((cold_plan.hits(), cold_plan.misses()), (0, 4));
 
         // Populate only the first two stages via an aborted run.
         let _ = Executor::new()
             .with_store(store)
-            .width_cap(1)
             .abort_after(2)
             .run(&diamond(12).0);
         let partial_plan = exec.plan(&g);

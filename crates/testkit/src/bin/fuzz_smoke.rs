@@ -322,11 +322,7 @@ fn replay_corpus(dir: &Path) -> Result<usize, String> {
 /// Writes the observability sidecars for a `--profile DIR` fuzz run:
 /// the run manifest (fuzz config + `testkit.*` counters), metrics.prom,
 /// and the finalized journal's trace.json.
-fn write_profile_sidecars(
-    dir: &Path,
-    args: &Args,
-    timings: &[(String, f64)],
-) -> std::io::Result<()> {
+fn write_profile_sidecars(dir: &Path, args: &Args) -> std::io::Result<()> {
     let config = serde::Content::Map(vec![
         (
             "corpus".to_string(),
@@ -345,14 +341,11 @@ fn write_profile_sidecars(
             serde::Content::Seq(args.seeds.iter().map(|&s| serde::Content::U64(s)).collect()),
         ),
     ]);
-    let mut manifest_timings = std::collections::BTreeMap::new();
-    manifest_timings.insert("fuzz_smoke".to_string(), timings.to_vec());
     let manifest = transit_obs::RunManifest::capture(
         config,
         args.seeds[0],
         1,
         vec!["fuzz_smoke".to_string()],
-        manifest_timings,
     );
     manifest.write_to(dir)?;
     transit_obs::trace::finalize_journal()?;
@@ -379,12 +372,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    let code = run_phases(&args, &mut timings);
+    let code = run_phases(&args);
     // Sidecars are written on every exit path — a diverging fuzz run is
     // exactly when the timeline and counters are worth keeping.
     if let Some(dir) = &args.profile {
-        match write_profile_sidecars(dir, &args, &timings) {
+        match write_profile_sidecars(dir, &args) {
             Ok(()) => println!("wrote profile sidecars to {}", dir.display()),
             Err(e) => {
                 eprintln!("fuzz_smoke: cannot write profile sidecars: {e}");
@@ -395,12 +387,11 @@ fn main() -> ExitCode {
     code
 }
 
-fn run_phases(args: &Args, timings: &mut Vec<(String, f64)>) -> ExitCode {
+fn run_phases(args: &Args) -> ExitCode {
     let _root = span!("fuzz_smoke");
 
     // Phase 1: corpus replay.
     transit_obs::journal::phase("corpus_replay");
-    let replay_start = std::time::Instant::now();
     let replayed = {
         let _span = span!("fuzz_smoke.corpus_replay");
         match replay_corpus(&args.corpus) {
@@ -414,11 +405,9 @@ fn run_phases(args: &Args, timings: &mut Vec<(String, f64)>) -> ExitCode {
             }
         }
     };
-    timings.push(("corpus_replay".to_string(), replay_start.elapsed().as_secs_f64()));
 
     // Phase 2: budgeted fuzz.
     transit_obs::journal::phase("fuzz");
-    let fuzz_start = std::time::Instant::now();
     let seed_list = args
         .seeds
         .iter()
@@ -437,7 +426,6 @@ fn run_phases(args: &Args, timings: &mut Vec<(String, f64)>) -> ExitCode {
             budget: Duration::from_secs(args.budget_secs),
         })
     };
-    timings.push(("fuzz".to_string(), fuzz_start.elapsed().as_secs_f64()));
     println!("fuzz: {}", outcome.summary());
 
     if let Some(failure) = &outcome.failure {

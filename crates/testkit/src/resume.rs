@@ -11,7 +11,7 @@
 //! Callers supply two closures: `build` compiles a fresh graph (the
 //! oracle re-builds per attempt, as separate processes would), and
 //! `render` assembles the run's final bytes (figure JSON) from the
-//! outcome. Runs are serial (`width_cap(1)`) so boundary `k` always
+//! outcome. Runs are serial (a pool budget of 1) so boundary `k` always
 //! falls after the same `k` stages.
 
 use std::path::Path;
@@ -49,11 +49,11 @@ where
     B: Fn() -> Graph,
     R: Fn(&RunOutcome) -> Vec<u8>,
 {
+    let _serial = transit_pool::scoped_budget(1);
     // Reference: one uninterrupted run with no store at all.
     let reference_graph = build();
     let stages = reference_graph.len();
     let reference = Executor::new()
-        .width_cap(1)
         .run(&reference_graph)
         .map_err(|e| format!("reference run failed: {e}"))?;
     let reference_bytes = render(&reference);
@@ -69,7 +69,6 @@ where
 
         let interrupted = Executor::new()
             .with_store(store.clone())
-            .width_cap(1)
             .abort_after(k)
             .run(&build());
         match interrupted {
@@ -86,7 +85,6 @@ where
 
         let resumed = Executor::new()
             .with_store(store)
-            .width_cap(1)
             .run(&build())
             .map_err(|e| format!("boundary {k}: resumed run failed: {e}"))?;
         let hits = resumed.reports.iter().filter(|r| r.hit).count();

@@ -8,8 +8,10 @@ cd "$(dirname "$0")/.."
 echo "== clippy (all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# --no-fail-fast: a red test binary must not hide the status of the
+# binaries after it.
 echo "== tests (workspace) =="
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 # Differential fuzz smoke: replay every committed regression case in
 # tests/corpus/, then run 500 fresh scenarios (fixed seed set, so this

@@ -179,6 +179,57 @@ fn all_experiments_run() {
     }
 }
 
+/// One invocation compiles every experiment into one stage graph. Its
+/// figures are byte-identical to running each experiment alone, and a
+/// stage several experiments share computes once: of the 28 dataset
+/// requests across the `full --quick` ids, exactly the 3 distinct
+/// datasets compute, and every later request reads as a hit.
+#[test]
+fn run_all_matches_each_experiment_alone() {
+    use tiered_transit::experiments::{run, run_all, ExperimentConfig};
+    use tiered_transit::experiments::{ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};
+    let config = ExperimentConfig::quick();
+    let ids: Vec<&str> = ALL_IDS
+        .iter()
+        .chain(&SENSITIVITY_IDS)
+        .chain(&EXTENSION_IDS)
+        .copied()
+        .collect();
+    let together: Vec<_> = run_all(&ids, &config)
+        .expect("invocation runs")
+        .collect::<Result<_, _>>()
+        .expect("every experiment assembles");
+    assert_eq!(together.len(), ids.len());
+    for (id, result) in ids.iter().zip(&together) {
+        let alone = run(id, &config).unwrap().unwrap();
+        assert_eq!(result.to_json(), alone.to_json(), "{id}: JSON differs");
+        assert_eq!(
+            result.stage_reports.len(),
+            alone.stage_reports.len(),
+            "{id}: one report per requested node"
+        );
+        for (a, b) in result.stage_reports.iter().zip(&alone.stage_reports) {
+            assert_eq!((&a.label, a.fingerprint), (&b.label, b.fingerprint), "{id}");
+        }
+    }
+
+    let generate: Vec<_> = together
+        .iter()
+        .flat_map(|r| &r.stage_reports)
+        .filter(|r| r.kind == "dataset.generate")
+        .collect();
+    assert_eq!(generate.len(), 28, "dataset requests across the invocation");
+    let computed: Vec<_> = generate.iter().filter(|r| !r.hit).collect();
+    assert_eq!(computed.len(), 3, "one computed dataset per network");
+    let distinct: std::collections::HashSet<_> =
+        computed.iter().map(|r| r.fingerprint).collect();
+    assert_eq!(distinct.len(), 3);
+    assert!(
+        generate.iter().filter(|r| r.hit).all(|r| r.seconds == 0.0),
+        "a repeated request is served without computing"
+    );
+}
+
 /// Cross-demand-model sanity at fixed inputs: both families agree on the
 /// *direction* of every headline effect even though their magnitudes
 /// differ.

@@ -1,4 +1,5 @@
-//! Property-based tests for the evaluation cache and the sweep engine.
+//! Property-based tests for the evaluation cache and the pooled
+//! indexed map the stage executor runs on.
 
 use proptest::prelude::*;
 
@@ -11,7 +12,7 @@ use tiered_transit::core::demand::logit::LogitAlpha;
 use tiered_transit::core::fitting::{fit_ced, fit_logit};
 use tiered_transit::core::flow::TrafficFlow;
 use tiered_transit::core::market::{CedMarket, LogitMarket, TransitMarket};
-use tiered_transit::experiments::SweepEngine;
+use tiered_transit::pool;
 
 /// Strategy for a valid flow set (2–20 flows).
 fn arb_flows() -> impl Strategy<Value = Vec<TrafficFlow>> {
@@ -88,16 +89,17 @@ proptest! {
         );
     }
 
-    /// Engine output order is invariant to the worker-thread count: any
-    /// jobs value reproduces the serial result element-for-element.
+    /// Pooled output order is invariant to the worker-thread count: any
+    /// width reproduces the serial result element-for-element.
     #[test]
     fn engine_order_invariant_to_thread_count(
         items in prop::collection::vec(0u64..1_000_000, 0..60),
         jobs in 1usize..13,
     ) {
         let work = |i: usize, &x: &u64| x.wrapping_mul(2_654_435_761).wrapping_add(i as u64);
-        let serial = SweepEngine::new(1).run(&items, work);
-        let pooled = SweepEngine::new(jobs).run(&items, work);
+        let _budget = pool::scoped_budget(8);
+        let serial = pool::run_indexed(1, &items, work);
+        let pooled = pool::run_indexed(jobs, &items, work);
         prop_assert_eq!(serial, pooled);
     }
 

@@ -3,8 +3,9 @@
 //! Serializes `ExperimentResult` for fig8, fig10 and table1 at a fixed
 //! seed and asserts:
 //!
-//! 1. `--jobs 1` and `--jobs 8` produce **byte-identical** JSON (the
-//!    sweep engine's determinism contract, end to end);
+//! 1. `--threads 1`, `--threads 2` and `--threads 8` produce
+//!    **byte-identical** JSON (the pooled stage executor's determinism
+//!    contract, end to end);
 //! 2. a re-run within the process reproduces the same bytes (no hidden
 //!    global state leaks into results);
 //! 3. output matches the checked-in golden file `tests/golden/<id>.json`
@@ -25,17 +26,17 @@ const GOLDEN_IDS: [&str; 3] = ["fig8", "fig10", "table1"];
 
 /// The fixed configuration the goldens are recorded at (quick flow count
 /// keeps the test fast; seed pinned independently of default drift).
-fn golden_config(jobs: usize) -> ExperimentConfig {
+fn golden_config(threads: usize) -> ExperimentConfig {
     ExperimentConfig {
         seed: 42,
         n_flows: 120,
-        jobs,
+        threads,
         ..ExperimentConfig::default()
     }
 }
 
-fn run_json(id: &str, jobs: usize) -> String {
-    runners::run(id, &golden_config(jobs))
+fn run_json(id: &str, threads: usize) -> String {
+    runners::run(id, &golden_config(threads))
         .expect("experiment runs")
         .expect("experiment id known")
         .to_json()
@@ -75,12 +76,20 @@ fn assert_json_close(a: &Value, b: &Value, path: &str) {
     }
 }
 
+/// `--threads` is a pure optimization: a fully serial budget (1), a
+/// small one (2) and an oversubscribed one (8, real cross-thread
+/// scheduling even on a small box) give byte-identical figure JSON.
 #[test]
-fn jobs_1_and_jobs_8_are_byte_identical() {
+fn figure_json_is_byte_identical_across_thread_budgets() {
     for id in GOLDEN_IDS {
         let serial = run_json(id, 1);
-        let parallel = run_json(id, 8);
-        assert_eq!(serial, parallel, "{id}: --jobs 1 vs --jobs 8 JSON differs");
+        for threads in [2, 8] {
+            assert_eq!(
+                serial,
+                run_json(id, threads),
+                "{id}: --threads 1 vs --threads {threads} JSON differs"
+            );
+        }
     }
 }
 
@@ -111,15 +120,16 @@ fn output_matches_golden_files() {
 
 #[test]
 fn json_excludes_timings() {
-    // Timings vary run to run; the serializer must drop them or the
-    // byte-identity guarantees above are meaningless.
+    // Stage timings vary run to run; the serializer must drop the stage
+    // reports or the byte-identity guarantees above are meaningless.
     let result = runners::run("table1", &golden_config(2))
         .unwrap()
         .unwrap();
     assert!(
-        !result.timings.is_empty(),
-        "table1 should record per-item timings"
+        result.stage_reports.iter().any(|r| r.seconds > 0.0),
+        "table1 should record per-stage timings"
     );
     let parsed: Value = serde_json::from_str(&result.to_json()).unwrap();
     assert!(parsed.get("timings").is_none());
+    assert!(parsed.get("stage_reports").is_none());
 }

@@ -3,10 +3,10 @@
 //! usable manifest.
 //!
 //! The tests here mutate the process-wide log level, so they serialize
-//! on one mutex instead of relying on test threading.
+//! on one mutex instead of relying on test threading. The lock is
+//! poison-tolerant: one failing test must not fail the next one too.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde_json::Value;
 use tiered_transit::experiments::{profile, runners, ExperimentConfig};
@@ -14,11 +14,15 @@ use tiered_transit::{obs, pool};
 
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
+fn level_lock() -> MutexGuard<'static, ()> {
+    LEVEL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn fig8_config(log_level: obs::Level) -> ExperimentConfig {
     ExperimentConfig {
         seed: 42,
         n_flows: 120,
-        jobs: 2,
+        threads: 2,
         log_level,
         ..ExperimentConfig::default()
     }
@@ -36,7 +40,7 @@ fn run_fig8(level: obs::Level) -> (String, tiered_transit::experiments::Experime
 /// path) is byte-identical to fig8 JSON with observability quiet.
 #[test]
 fn profiled_and_quiet_runs_emit_identical_figure_json() {
-    let _guard = LEVEL_LOCK.lock().unwrap();
+    let _guard = level_lock();
     let (with_spans, _) = run_fig8(obs::Level::Info);
     let (quiet, _) = run_fig8(obs::Level::Quiet);
     obs::set_log_level(obs::Level::Info);
@@ -47,23 +51,20 @@ fn profiled_and_quiet_runs_emit_identical_figure_json() {
 }
 
 /// A profiled fig8 run produces a manifest with a non-empty span tree,
-/// live cache counters, per-item timings, and per-stage reports.
+/// live cache counters, and per-stage reports with their timings.
 #[test]
 fn profiled_fig8_manifest_has_spans_counters_and_timings() {
-    let _guard = LEVEL_LOCK.lock().unwrap();
+    let _guard = level_lock();
     // Pin the pool budget so the stage-graph width is deterministic on
-    // any box size (`jobs = 2` only materializes when the budget allows
-    // 2 threads).
+    // any box size.
     let _budget = pool::scoped_budget(2);
     let (_, result) = run_fig8(obs::Level::Info);
     obs::set_log_level(obs::Level::Info);
-    assert!(!result.timings.is_empty(), "fig8 must report item timings");
 
     let dir = std::env::temp_dir().join(format!("transit_obs_reg_{}", std::process::id()));
     let config = fig8_config(obs::Level::Info);
     let runs = vec![profile::RunRecord {
         id: "fig8".to_string(),
-        timings: result.timings,
         stages: result.stage_reports,
     }];
     let manifest_path = profile::write_profile(&dir, &config, &runs).unwrap();
@@ -109,15 +110,6 @@ fn profiled_fig8_manifest_has_spans_counters_and_timings() {
     let stage_misses = counters["stage.store.misses"].as_f64().unwrap_or(-1.0);
     assert!(stage_misses >= 21.0, "stage.store.misses: {stage_misses}");
 
-    // Per-item timings made it into the manifest and the sidecar, with
-    // the legacy sweep-item labels and order.
-    assert_eq!(manifest["timings"]["fig8"][0]["label"], "fig8a/Optimal");
-    assert!(dir.join("fig8.timings.json").exists());
-    let sidecar: Value =
-        serde_json::from_str(&std::fs::read_to_string(dir.join("fig8.timings.json")).unwrap())
-            .unwrap();
-    assert_eq!(sidecar.as_array().unwrap().len(), 18);
-
     // Stage reports: one entry per graph node, fingerprints rendered as
     // 64-char hex, dataset nodes first.
     assert!(dir.join("fig8.stages.json").exists());
@@ -139,7 +131,7 @@ fn profiled_fig8_manifest_has_spans_counters_and_timings() {
 /// budget depends on it), while counters stay live for `cache_stats()`.
 #[test]
 fn quiet_level_suppresses_spans_but_not_counters() {
-    let _guard = LEVEL_LOCK.lock().unwrap();
+    let _guard = level_lock();
     obs::set_log_level(obs::Level::Quiet);
     let spans_before = obs::snapshot_spans()
         .get("experiment(id=fig8)")
@@ -164,8 +156,8 @@ fn quiet_level_suppresses_spans_but_not_counters() {
     );
 }
 
-/// Manifest capture composes with arbitrary timing maps (empty runs
-/// included) without touching figure output paths.
+/// Manifest capture needs no run state beyond the caller's identity
+/// fields, and touches no figure output paths.
 #[test]
 fn manifest_capture_is_self_contained() {
     let manifest = obs::RunManifest::capture(
@@ -173,11 +165,47 @@ fn manifest_capture_is_self_contained() {
         42,
         2,
         vec!["fig8".to_string()],
-        BTreeMap::new(),
     );
     let parsed: Value = serde_json::from_str(&manifest.to_json()).unwrap();
     assert_eq!(parsed["seed"], 42i64);
-    assert_eq!(parsed["jobs"], 2i64);
+    assert_eq!(parsed["threads"], 2i64);
     assert_eq!(parsed["config"]["n_flows"], 120i64);
     assert_eq!(parsed["experiments"][0], "fig8");
+}
+
+/// Pooled stages nest under the code that submitted them: a profiled
+/// multi-experiment invocation leaves no `stage.run(…)` span at the root
+/// of the tree, whatever the pool budget — including budgets above the
+/// core count, where most stages run on pool workers.
+#[test]
+fn pooled_stage_spans_never_surface_as_roots() {
+    let _guard = level_lock();
+    obs::set_log_level(obs::Level::Info);
+    let ids = ["fig8", "table1", "fig10"];
+    for threads in [1, 2, 8] {
+        let config = ExperimentConfig {
+            threads,
+            ..fig8_config(obs::Level::Info)
+        };
+        for result in runners::run_all(&ids, &config).expect("invocation runs") {
+            result.expect("experiment assembles");
+        }
+        let spans = obs::snapshot_spans();
+        let orphans: Vec<&String> = spans
+            .keys()
+            .filter(|k| k.starts_with("stage.run("))
+            .collect();
+        assert!(orphans.is_empty(), "threads={threads}: orphan roots {orphans:?}");
+        let invocation = &spans["experiment(id=fig8,table1,fig10)"];
+        let graph_run = invocation
+            .children
+            .iter()
+            .find(|(k, _)| k.starts_with("stage.graph.run("))
+            .map(|(_, node)| node)
+            .expect("the graph run nests under the invocation span");
+        assert!(
+            graph_run.children.keys().any(|k| k.starts_with("stage.run(")),
+            "threads={threads}: stage spans nest under the graph run"
+        );
+    }
 }

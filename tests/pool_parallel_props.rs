@@ -2,7 +2,7 @@
 //! its serial execution, plus stress tests for the pool itself.
 //!
 //! The work-stealing pool (`transit_pool`) executes the tiled DP rows,
-//! the sweep engine's item fan-out, the NetFlow decode workers, and the
+//! the stage executor's waves, the NetFlow decode workers, and the
 //! capture-curves strategy fan-out. All of them are pure optimizations:
 //! tasks share no mutable state and results merge by submission index,
 //! so for any pool budget the output must be byte-identical to running
@@ -22,7 +22,6 @@ use tiered_transit::core::demand::ced::CedAlpha;
 use tiered_transit::core::fitting::fit_ced;
 use tiered_transit::core::flow::TrafficFlow;
 use tiered_transit::core::market::CedMarket;
-use tiered_transit::experiments::SweepEngine;
 use tiered_transit::netflow::{Collector, Exporter, FlowKey, SystematicSampler};
 use tiered_transit::pool;
 
@@ -94,8 +93,9 @@ proptest! {
         }
     }
 
-    /// The sweep engine returns `f(i, &items[i])` in item order for any
-    /// budget — worker scheduling can neither reorder nor perturb.
+    /// The pooled indexed map returns `f(i, &items[i])` in item order
+    /// for any budget and width cap — worker scheduling can neither
+    /// reorder nor perturb.
     #[test]
     fn pooled_sweep_is_equal_to_serial(
         items in prop::collection::vec(0u64..1_000_000, 1..80),
@@ -105,7 +105,7 @@ proptest! {
         let expected: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         for budget in [1usize, 2, 8] {
             let _budget = pool::scoped_budget(budget);
-            let got = SweepEngine::new(jobs).run(&items, f);
+            let got = pool::run_indexed(jobs, &items, f);
             prop_assert_eq!(&got, &expected, "budget={} jobs={}", budget, jobs);
         }
     }

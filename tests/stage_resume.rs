@@ -11,8 +11,8 @@
 //!    store reports a hit for every stage and emits figure JSON
 //!    byte-identical to a storeless run.
 //! 3. **Fingerprints are a function of output-affecting params only**:
-//!    stable across rebuilds and execution-knob changes (threads, jobs,
-//!    store paths), distinct under any output-affecting perturbation,
+//!    stable across rebuilds and execution-knob changes (threads, store
+//!    paths), distinct under any output-affecting perturbation,
 //!    and pinned to a golden constant so hash-scheme drift is loud.
 
 use tiered_transit::core::bundling::StrategyKind;

@@ -1,115 +1,52 @@
-//! The parallelism knobs compose exactly: the process-wide `--threads`
-//! pool budget and the per-layer caps — item-level `--jobs` (sweep
-//! fan-out) and intra-market `--dp-threads` (tiled DP table build) —
-//! are all pure optimizations, so figure JSON must be *byte-identical*
-//! across every combination, including the deprecated spellings used
-//! alone (old flags keep working as caps within the budget).
-//!
-//! `runners::run` installs `config.dp_threads` as the process-wide DP
-//! default and `config.threads` as the global pool budget, so the runs
-//! serialize on one mutex (same pattern as `obs_regression.rs` for the
-//! log level) and every test restores the budget to "all cores" (0)
-//! before releasing it.
-
-use std::sync::Mutex;
+//! Sweep-level fan-out and the tiled DP table build both draw on the one
+//! `--threads` pool budget, and a stage shared by several experiments in
+//! one invocation runs once on that budget. All of it is a pure
+//! optimization: figure JSON must be *byte-identical* from a fully
+//! serial budget (1) through a small one (2), an oversubscribed one (8)
+//! and the all-cores default (0), whether fig8 runs alone or beside
+//! fig9 in one stage graph.
 
 use tiered_transit::experiments::{runners, ExperimentConfig};
-use tiered_transit::{obs, pool};
 
-static PROCESS_CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-fn run_fig8_with(threads: usize, jobs: usize, dp_threads: usize) -> String {
-    obs::set_log_level(obs::Level::Quiet);
-    let config = ExperimentConfig {
+fn config(threads: usize) -> ExperimentConfig {
+    ExperimentConfig {
         seed: 42,
         n_flows: 120,
         threads,
-        jobs,
-        dp_threads,
-        log_level: obs::Level::Quiet,
         ..ExperimentConfig::default()
-    };
-    let result = runners::run("fig8", &config)
-        .expect("fig8 runs")
-        .expect("fig8 known");
-    result.to_json()
-}
-
-fn run_fig8(jobs: usize, dp_threads: usize) -> String {
-    run_fig8_with(0, jobs, dp_threads)
-}
-
-#[test]
-fn figure_json_is_byte_identical_across_jobs_and_dp_threads() {
-    let _guard = PROCESS_CONFIG_LOCK.lock().unwrap();
-    let reference = run_fig8(1, 1);
-    assert!(!reference.is_empty());
-    for jobs in [1usize, 8] {
-        for dp_threads in [1usize, 8] {
-            if (jobs, dp_threads) == (1, 1) {
-                continue;
-            }
-            let json = run_fig8(jobs, dp_threads);
-            assert_eq!(
-                json, reference,
-                "fig8 JSON diverges at jobs={jobs}, dp_threads={dp_threads}"
-            );
-        }
     }
-    obs::set_log_level(obs::Level::Info);
 }
 
-/// The new `--threads` budget composes with the legacy caps: any
-/// `{threads} × {jobs, dp_threads}` combination is byte-identical, from
-/// a fully serial budget (1) through oversubscribed caps (budget 2 with
-/// 8-wide requests) to a full 8-thread budget.
+fn fig8_alone(threads: usize) -> String {
+    runners::run("fig8", &config(threads))
+        .expect("fig8 runs")
+        .expect("fig8 known")
+        .to_json()
+}
+
+fn fig8_beside_fig9(threads: usize) -> String {
+    runners::run_all(&["fig8", "fig9"], &config(threads))
+        .expect("invocation compiles and runs")
+        .next()
+        .expect("fig8 result")
+        .expect("fig8 assembles")
+        .to_json()
+}
+
 #[test]
 fn figure_json_is_byte_identical_across_thread_budgets() {
-    let _guard = PROCESS_CONFIG_LOCK.lock().unwrap();
-    let reference = run_fig8_with(1, 1, 1);
+    let reference = fig8_alone(1);
     assert!(!reference.is_empty());
-    for threads in [1usize, 2, 8] {
-        for (jobs, dp_threads) in [(1usize, 8usize), (8, 1), (8, 8), (0, 0)] {
-            let json = run_fig8_with(threads, jobs, dp_threads);
-            assert_eq!(
-                json, reference,
-                "fig8 JSON diverges at threads={threads}, jobs={jobs}, dp_threads={dp_threads}"
-            );
-        }
+    for threads in [1usize, 2, 8, 0] {
+        assert_eq!(
+            fig8_alone(threads),
+            reference,
+            "fig8 JSON diverges at threads={threads}"
+        );
+        assert_eq!(
+            fig8_beside_fig9(threads),
+            reference,
+            "fig8 JSON beside fig9 diverges at threads={threads}"
+        );
     }
-    // `runners::run` stores nonzero budgets globally; restore the
-    // default so later tests in this process see all cores again.
-    pool::set_thread_budget(0);
-    obs::set_log_level(obs::Level::Info);
-}
-
-/// The deprecated flags still work on their own: a config that only
-/// sets the legacy per-layer knobs (no `--threads`) parallelizes within
-/// the default budget and produces byte-identical output.
-#[test]
-fn legacy_flags_still_work_without_threads() {
-    let _guard = PROCESS_CONFIG_LOCK.lock().unwrap();
-    pool::set_thread_budget(0);
-    let reference = run_fig8(1, 1);
-    let legacy = {
-        obs::set_log_level(obs::Level::Quiet);
-        let config = ExperimentConfig {
-            seed: 42,
-            n_flows: 120,
-            jobs: 8,
-            dp_threads: 8,
-            ingest_workers: 8,
-            log_level: obs::Level::Quiet,
-            ..ExperimentConfig::default()
-        };
-        runners::run("fig8", &config)
-            .expect("fig8 runs")
-            .expect("fig8 known")
-            .to_json()
-    };
-    assert_eq!(
-        legacy, reference,
-        "legacy jobs/dp-threads/ingest-workers knobs diverged from serial"
-    );
-    obs::set_log_level(obs::Level::Info);
 }

@@ -17,7 +17,9 @@
 //!   overhead is measurement noise by definition) with the raw value
 //!   kept in `obs_overhead_pct_info_vs_quiet_raw`. When only one core
 //!   is available the report says so (`single_core: true` + `warning`)
-//!   and the parallel speedup number is descriptive, not an assertion.
+//!   and the parallel speedup number is descriptive, not an assertion;
+//!   on more cores the gate requires 50% parallel efficiency over
+//!   `min(cores, items)`.
 //! * **kernels** — `capture_curve` over `OptimalDp` at n ∈ {100, 1000}
 //!   flows, B_max = 10, one-pass (`bundle_series`) vs the per-point
 //!   baseline (a wrapper strategy that forwards `bundle` but keeps the
@@ -88,6 +90,11 @@ use transit_experiments::{runners, ExperimentConfig};
 
 const ITEMS_PER_RUN: usize = 18; // fig8: 3 panels x 6 strategies
 const REPS: usize = 3;
+/// Parallel-efficiency floor of the sweep gate: `speedup_jobsN` must
+/// reach this fraction of the usable parallelism `min(cores, items)`.
+/// At 0.5 the floor is 1.0× on 2 cores (a 2-core box measures
+/// 1.4–1.9×) and 2.0× on 4 cores, the old fixed floor.
+const MIN_PARALLEL_EFFICIENCY: f64 = 0.5;
 const SWEEP_N_FLOWS: usize = 160;
 const KERNEL_B_MAX: usize = 10;
 const MILLION_FLOW_RAW: usize = 1_000_000;
@@ -648,6 +655,13 @@ fn measure() -> Report {
     }
 }
 
+/// The `speedup_jobsN` floor on a `cores`-core machine: at most
+/// `min(cores, items)` fig8 items run at once, so the floor is a fixed
+/// parallel efficiency over that width.
+fn speedup_floor(cores: usize) -> f64 {
+    MIN_PARALLEL_EFFICIENCY * cores.min(ITEMS_PER_RUN) as f64
+}
+
 /// Compares a fresh measurement against the committed baseline report;
 /// returns the list of failures (empty = gate passes).
 fn gate(report: &Report, baseline_path: &str) -> Vec<String> {
@@ -701,11 +715,13 @@ fn gate(report: &Report, baseline_path: &str) -> Vec<String> {
     if report.single_core {
         println!("gate: single core detected; skipping parallel-speedup assertion");
     } else {
-        if report.speedup_jobs_n() < 2.0 {
+        let floor = speedup_floor(report.jobs_n);
+        if report.speedup_jobs_n() < floor {
             failures.push(format!(
-                "speedup_jobsN {:.2} < 2.0 on a {}-core machine: the stage graph \
-                 is not scaling",
+                "speedup_jobsN {:.2} < {floor:.2} ({:.0}% parallel efficiency over \
+                 min({} cores, {ITEMS_PER_RUN} items)): the stage graph is not scaling",
                 report.speedup_jobs_n(),
+                MIN_PARALLEL_EFFICIENCY * 100.0,
                 report.jobs_n
             ));
         }
@@ -1035,5 +1051,19 @@ fn main() {
         std::fs::write(&out_path, &json).expect("bench report writes");
         println!("{json}");
         println!("wrote {out_path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::speedup_floor;
+
+    #[test]
+    fn speedup_floor_is_attainable_on_two_cores_and_never_below_two_from_four() {
+        assert_eq!(speedup_floor(2), 1.0);
+        for cores in 4..=64 {
+            assert!(speedup_floor(cores) >= 2.0, "{cores} cores");
+            assert!(speedup_floor(cores) <= cores as f64);
+        }
     }
 }

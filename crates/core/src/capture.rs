@@ -359,6 +359,20 @@ mod tests {
         fn profit(&self, _bundling: &Bundling) -> Result<f64> {
             Ok(80.0) // worse than the status quo below
         }
+        fn weighted_bundle_prices(
+            &self,
+            _entries: &[crate::market::WeightedEntry],
+            n_bundles: usize,
+        ) -> Result<Vec<Option<f64>>> {
+            Ok(vec![None; n_bundles])
+        }
+        fn weighted_profit(
+            &self,
+            _entries: &[crate::market::WeightedEntry],
+            _n_bundles: usize,
+        ) -> Result<f64> {
+            Ok(80.0)
+        }
         fn original_profit(&self) -> f64 {
             100.0
         }

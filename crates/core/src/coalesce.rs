@@ -12,15 +12,28 @@
 //!
 //! [`CoalescedMarket`] performs that collapse as a preprocessing pass: it
 //! groups flows whose `(v, c)` bit patterns are equal (or equal after
-//! ε-quantization when `epsilon > 0`), exposes the groups as a small
-//! "market of groups" for strategies to partition, and — crucially —
-//! **delegates all profit evaluation to the wrapped raw market** by
-//! expanding a group-level [`Bundling`] back to raw flows. Profits,
-//! bundle prices, the status-quo baseline and the per-flow ceiling are
-//! therefore *bitwise identical* to evaluating the same tiers on the
-//! uncoalesced market, for any grouping and any ε; only the strategy's
+//! ε-quantization when `epsilon > 0`) and exposes the groups as a small
+//! "market of groups" for strategies to partition. The strategy's
 //! *search* runs over `g ≪ n` groups (the DP drops from `O(B·n²)` to
 //! `O(B·g²)`, sorts from `O(n log n)` to `O(g log g)`).
+//!
+//! ## Exact grouped evaluation
+//!
+//! Profits and bundle prices are evaluated in O(groups), never by
+//! expanding back to raw flows. Each group holds one *run* per distinct
+//! bitwise `(v, c)` pair among its members — exactly one at ε = 0 — and
+//! a group-level bundling becomes one weighted entry `(representative,
+//! bundle, run length)` per run, evaluated by the wrapped market's
+//! [`weighted_profit`](TransitMarket::weighted_profit) /
+//! [`weighted_bundle_prices`](TransitMarket::weighted_bundle_prices)
+//! kernels. Those kernels are the same code the raw market's `profit`
+//! runs with multiplicity 1, and every sum in them is an
+//! [`ExactSum`](crate::exact::ExactSum): flows of one run have
+//! bitwise-equal per-flow terms, `m` such terms add exactly to `m·t`,
+//! and the exact total is rounded once. Grouped evaluation therefore
+//! equals raw evaluation of the [expanded](CoalescedMarket::expand)
+//! bundling **bit for bit, by arithmetic, at any ε**. The status-quo
+//! baseline and the per-flow ceiling are the raw market's own.
 //!
 //! Exactness of the *search* itself:
 //!
@@ -47,15 +60,18 @@ use std::collections::HashMap;
 use crate::bundling::Bundling;
 use crate::demand::DemandFamily;
 use crate::error::{Result, TransitError};
-use crate::market::{ScoreTerms, TransitMarket};
+use crate::market::{
+    check_bundling, check_entries, unit_entries, ScoreTerms, TransitMarket, WeightedEntry,
+};
 
 /// A raw market wrapped into weighted duplicate groups.
 ///
 /// Implements [`TransitMarket`] over the *groups* (so any
 /// [`BundlingStrategy`](crate::bundling::BundlingStrategy) and
-/// [`capture_curve`](crate::capture::capture_curve) run unchanged), while
-/// profit evaluation expands back to — and is bitwise identical with —
-/// the wrapped raw market.
+/// [`capture_curve`](crate::capture::capture_curve) run unchanged).
+/// Profits and prices are evaluated per run of bitwise-equal flows in
+/// O(groups) and are bitwise identical with the wrapped raw market on
+/// the expanded bundling (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CoalescedMarket<M: TransitMarket> {
     inner: M,
@@ -65,6 +81,11 @@ pub struct CoalescedMarket<M: TransitMarket> {
     groups: Vec<Vec<u32>>,
     /// Raw flow index → group index.
     group_of: Vec<u32>,
+    /// Runs of bitwise-equal `(v, c)` as (representative raw flow, raw
+    /// flows in the run), group by group: group `g` owns
+    /// `runs[run_start[g]..run_start[g + 1]]`.
+    runs: Vec<(u32, u64)>,
+    run_start: Vec<u32>,
     /// Raw flows per group.
     multiplicities: Vec<u64>,
     valuations: Vec<f64>,
@@ -99,8 +120,9 @@ impl<M: TransitMarket> CoalescedMarket<M> {
     ///
     /// `epsilon = 0` is the exact mode. At ε > 0 each group is
     /// represented by its *first* member's `(v, c)` — strategy decisions
-    /// become ε-approximate, but profit evaluation still expands to the
-    /// raw market and stays exact for whatever tiers are chosen.
+    /// become ε-approximate, but profit evaluation weighs every distinct
+    /// member pair and stays bitwise equal to the raw market for whatever
+    /// tiers are chosen.
     pub fn with_epsilon(inner: M, epsilon: f64) -> Result<CoalescedMarket<M>> {
         if !epsilon.is_finite() || epsilon < 0.0 {
             return Err(TransitError::InvalidParameter {
@@ -154,6 +176,31 @@ impl<M: TransitMarket> CoalescedMarket<M> {
             potential.push(pi);
         }
         let terms = inner.score_terms().grouped(&groups);
+        let (runs, run_start) = if epsilon == 0.0 {
+            // Exact keys: each group is a single run.
+            (
+                groups.iter().map(|m| (m[0], m.len() as u64)).collect(),
+                (0..=g as u32).collect(),
+            )
+        } else {
+            // Equal bits quantize equally, so a pair's run never leaves
+            // its group and the runs come out group by group.
+            let mut run_of: HashMap<(u64, u64), usize> = HashMap::new();
+            let mut runs: Vec<(u32, u64)> = Vec::new();
+            let mut run_start = vec![0];
+            for members in &groups {
+                for &m in members {
+                    let key = (raw_v[m as usize].to_bits(), raw_c[m as usize].to_bits());
+                    let r = *run_of.entry(key).or_insert_with(|| {
+                        runs.push((m, 0));
+                        runs.len() - 1
+                    });
+                    runs[r].1 += 1;
+                }
+                run_start.push(runs.len() as u32);
+            }
+            (runs, run_start)
+        };
 
         transit_obs::counter!("coalesce.markets").inc();
         transit_obs::counter!("coalesce.raw_flows").add(n as u64);
@@ -164,6 +211,8 @@ impl<M: TransitMarket> CoalescedMarket<M> {
             epsilon,
             groups,
             group_of,
+            runs,
+            run_start,
             multiplicities,
             valuations,
             costs,
@@ -217,11 +266,7 @@ impl<M: TransitMarket> CoalescedMarket<M> {
     /// Expands a *group-level* bundling to the equivalent raw-flow
     /// bundling: every raw flow joins its group's bundle.
     pub fn expand(&self, bundling: &Bundling) -> Result<Bundling> {
-        if bundling.n_flows() != self.n_groups() {
-            return Err(TransitError::InvalidBundling {
-                reason: "bundling flow count does not match group count",
-            });
-        }
+        check_bundling(bundling, self.n_groups())?;
         let groups = bundling.assignment();
         let raw: Vec<usize> = self
             .group_of
@@ -229,6 +274,32 @@ impl<M: TransitMarket> CoalescedMarket<M> {
             .map(|&g| groups[g as usize])
             .collect();
         Bundling::new(raw, bundling.n_bundles())
+    }
+
+    /// The raw-market entries equivalent to group-level `entries`: one
+    /// per run of each entry's group, weighted by the run length times
+    /// the entry's multiplicity.
+    fn raw_entries(
+        &self,
+        entries: impl Iterator<Item = WeightedEntry>,
+    ) -> Result<Vec<WeightedEntry>> {
+        let mut raw = Vec::with_capacity(self.runs.len());
+        for e in entries {
+            let (lo, hi) = (self.run_start[e.flow], self.run_start[e.flow + 1]);
+            for &(flow, count) in &self.runs[lo as usize..hi as usize] {
+                let multiplicity = count.checked_mul(e.multiplicity).ok_or(
+                    TransitError::InvalidBundling {
+                        reason: "weighted entry multiplicity overflows u64",
+                    },
+                )?;
+                raw.push(WeightedEntry {
+                    flow: flow as usize,
+                    bundle: e.bundle,
+                    multiplicity,
+                });
+            }
+        }
+        Ok(raw)
     }
 }
 
@@ -270,11 +341,31 @@ impl<M: TransitMarket> TransitMarket for CoalescedMarket<M> {
     }
 
     fn bundle_prices(&self, bundling: &Bundling) -> Result<Vec<Option<f64>>> {
-        self.inner.bundle_prices(&self.expand(bundling)?)
+        check_bundling(bundling, self.n_groups())?;
+        let raw = self.raw_entries(unit_entries(bundling))?;
+        self.inner.weighted_bundle_prices(&raw, bundling.n_bundles())
     }
 
     fn profit(&self, bundling: &Bundling) -> Result<f64> {
-        self.inner.profit(&self.expand(bundling)?)
+        check_bundling(bundling, self.n_groups())?;
+        let raw = self.raw_entries(unit_entries(bundling))?;
+        self.inner.weighted_profit(&raw, bundling.n_bundles())
+    }
+
+    fn weighted_bundle_prices(
+        &self,
+        entries: &[WeightedEntry],
+        n_bundles: usize,
+    ) -> Result<Vec<Option<f64>>> {
+        check_entries(entries, self.n_groups(), n_bundles)?;
+        let raw = self.raw_entries(entries.iter().copied())?;
+        self.inner.weighted_bundle_prices(&raw, n_bundles)
+    }
+
+    fn weighted_profit(&self, entries: &[WeightedEntry], n_bundles: usize) -> Result<f64> {
+        check_entries(entries, self.n_groups(), n_bundles)?;
+        let raw = self.raw_entries(entries.iter().copied())?;
+        self.inner.weighted_profit(&raw, n_bundles)
     }
 
     fn original_profit(&self) -> f64 {
@@ -364,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn profit_delegates_bitwise_to_raw_market() {
+    fn grouped_profit_is_bitwise_raw_profit() {
         let m = ced(&duplicated_flows());
         let cm = CoalescedMarket::new(m).unwrap();
         // Arbitrary group-level partition, including an empty bundle.
@@ -379,6 +470,44 @@ mod tests {
             cm.inner().original_profit().to_bits()
         );
         assert_eq!(cm.max_profit().to_bits(), cm.inner().max_profit().to_bits());
+    }
+
+    #[test]
+    fn epsilon_groups_evaluate_every_distinct_pair_bitwise() {
+        let mut flows = duplicated_flows();
+        flows[5] = TrafficFlow::new(5, 120.0000001, 5.0);
+        flows[11] = TrafficFlow::new(11, 40.0000001, 60.0);
+        let cm = CoalescedMarket::with_epsilon(ced(&flows), 1.0).unwrap();
+        // Groups merge the perturbed flows, but runs keep every distinct
+        // pair: 5 groups, 7 runs.
+        assert_eq!(cm.n_groups(), 5);
+        assert_eq!(cm.runs.len(), 7);
+        for gb in [
+            Bundling::single(5).unwrap(),
+            Bundling::new(vec![0, 1, 0, 1, 2], 4).unwrap(),
+        ] {
+            let expanded = cm.expand(&gb).unwrap();
+            assert_eq!(
+                cm.profit(&gb).unwrap().to_bits(),
+                cm.inner().profit(&expanded).unwrap().to_bits()
+            );
+            let grouped = cm.bundle_prices(&gb).unwrap();
+            let raw = cm.inner().bundle_prices(&expanded).unwrap();
+            let bits = |p: &[Option<f64>]| p.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+            assert_eq!(bits(&grouped), bits(&raw));
+        }
+    }
+
+    #[test]
+    fn weighted_entries_nest_through_a_coalesced_inner_market() {
+        let cm = CoalescedMarket::new(ced(&duplicated_flows())).unwrap();
+        let gb = Bundling::new(vec![0, 1, 1, 0, 1], 2).unwrap();
+        let nested = CoalescedMarket::new(cm.clone()).unwrap();
+        assert_eq!(nested.n_groups(), 5);
+        assert_eq!(
+            nested.profit(&gb).unwrap().to_bits(),
+            cm.profit(&gb).unwrap().to_bits()
+        );
     }
 
     #[test]

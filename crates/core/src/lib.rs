@@ -69,6 +69,7 @@ pub mod cost;
 pub mod demand;
 pub mod error;
 pub mod estimate;
+pub mod exact;
 pub mod fitting;
 pub mod flow;
 pub mod instruments;

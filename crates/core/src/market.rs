@@ -30,7 +30,8 @@ use crate::bundling::Bundling;
 use crate::demand::ced::{self, CedAlpha};
 use crate::demand::logit::{self, LogitAlpha};
 use crate::demand::DemandFamily;
-use crate::error::{Result, TransitError};
+use crate::error::{check_positive, Result, TransitError};
+use crate::exact::ExactSum;
 use crate::fitting::{CedFit, LogitFit};
 use crate::pricing::logit as logit_pricing;
 
@@ -174,7 +175,29 @@ pub trait TransitMarket: Send + Sync {
 
     /// Total market profit when flows are bundled per `bundling` and each
     /// bundle is priced optimally.
+    ///
+    /// The fitted markets take every sum over flows (bundle aggregates,
+    /// logit shares, the profit itself) with an [`ExactSum`]: the result
+    /// is the correctly rounded exact sum of per-flow terms, independent
+    /// of flow order. Flows with bitwise-equal `(v, c)` have bitwise-equal
+    /// terms, so a [`CoalescedMarket`](crate::coalesce::CoalescedMarket)
+    /// evaluates each group once, weighted by its size, and still equals
+    /// this method on the expanded bundling bit for bit.
     fn profit(&self, bundling: &Bundling) -> Result<f64>;
+
+    /// [`bundle_prices`](Self::bundle_prices) over `n_bundles` bundles of
+    /// weighted entries: entry `e` places `e.multiplicity` copies of flow
+    /// `e.flow` in bundle `e.bundle`. Equals `bundle_prices` on the market
+    /// in which every entry's flow is repeated that many times.
+    fn weighted_bundle_prices(
+        &self,
+        entries: &[WeightedEntry],
+        n_bundles: usize,
+    ) -> Result<Vec<Option<f64>>>;
+
+    /// [`profit`](Self::profit) over weighted entries (see
+    /// [`weighted_bundle_prices`](Self::weighted_bundle_prices)).
+    fn weighted_profit(&self, entries: &[WeightedEntry], n_bundles: usize) -> Result<f64>;
 
     /// Profit at the status quo: the single blended rate `P0`.
     fn original_profit(&self) -> f64;
@@ -197,13 +220,75 @@ pub trait TransitMarket: Send + Sync {
     }
 }
 
-fn check_bundling(bundling: &Bundling, n_flows: usize) -> Result<()> {
+pub(crate) fn check_bundling(bundling: &Bundling, n_flows: usize) -> Result<()> {
     if bundling.n_flows() != n_flows {
         return Err(TransitError::InvalidBundling {
             reason: "bundling flow count does not match market",
         });
     }
     Ok(())
+}
+
+/// One entry of a weighted evaluation: `multiplicity` copies of flow
+/// `flow`, all in bundle `bundle`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WeightedEntry {
+    /// Flow index in the evaluating market.
+    pub flow: usize,
+    /// Bundle the copies belong to.
+    pub bundle: usize,
+    /// Number of copies (at least 1).
+    pub multiplicity: u64,
+}
+
+/// A bundling as weighted entries: every flow once, in its assigned bundle.
+pub(crate) fn unit_entries(
+    bundling: &Bundling,
+) -> impl Iterator<Item = WeightedEntry> + Clone + '_ {
+    bundling
+        .assignment()
+        .iter()
+        .enumerate()
+        .map(|(flow, &bundle)| WeightedEntry {
+            flow,
+            bundle,
+            multiplicity: 1,
+        })
+}
+
+/// Validates weighted entries against a market of `n_flows` flows.
+pub(crate) fn check_entries(
+    entries: &[WeightedEntry],
+    n_flows: usize,
+    n_bundles: usize,
+) -> Result<()> {
+    if n_bundles == 0 {
+        return Err(TransitError::ZeroBundles);
+    }
+    if entries.is_empty() {
+        return Err(TransitError::EmptyFlowSet);
+    }
+    if entries
+        .iter()
+        .any(|e| e.flow >= n_flows || e.bundle >= n_bundles || e.multiplicity == 0)
+    {
+        return Err(TransitError::InvalidBundling {
+            reason: "weighted entries need a market flow, a bundle below n_bundles, \
+                     and a positive multiplicity",
+        });
+    }
+    Ok(())
+}
+
+/// `ln Σ m·e^x` over weighted exponents, shifted by the largest one and
+/// summed exactly.
+fn log_sum_exp_weighted(terms: impl Iterator<Item = (f64, u64)> + Clone) -> f64 {
+    let shift = terms.clone().fold(f64::NEG_INFINITY, |m, (x, _)| m.max(x));
+    let mut sum = ExactSum::new();
+    for (x, m) in terms {
+        sum.add_scaled((x - shift).exp(), m);
+    }
+    shift + sum.value().ln()
 }
 
 /// Per-instance memo of derived evaluation artifacts.
@@ -280,21 +365,51 @@ impl CedMarket {
             .collect()
     }
 
-    /// Optimal per-bundle prices from a precomputed member grouping, so
-    /// `profit` can share one `members()` materialization between pricing
-    /// and the profit sum.
-    fn bundle_prices_of(&self, members: &[Vec<usize>]) -> Result<Vec<Option<f64>>> {
-        let mut prices = Vec::with_capacity(members.len());
-        for members in members {
-            if members.is_empty() {
-                prices.push(None);
-                continue;
-            }
-            let vs: Vec<f64> = members.iter().map(|&i| self.fit.valuations[i]).collect();
-            let cs: Vec<f64> = members.iter().map(|&i| self.fit.costs[i]).collect();
-            prices.push(Some(ced::bundle_price(&vs, &cs, self.fit.alpha)?));
+    /// Optimal price of each bundle (Eq. 5) from exactly summed
+    /// `Σ c·v^alpha` and `Σ v^alpha`; `None` for bundles without entries.
+    fn prices_of(
+        &self,
+        entries: impl Iterator<Item = WeightedEntry>,
+        n_bundles: usize,
+    ) -> Result<Vec<Option<f64>>> {
+        let a = self.fit.alpha.get();
+        let mut sums: Vec<Option<[ExactSum; 2]>> = vec![None; n_bundles];
+        for e in entries {
+            let v = check_positive("valuation", self.fit.valuations[e.flow])?;
+            let c = check_positive("cost", self.fit.costs[e.flow])?;
+            let w = v.powf(a);
+            let [num, den] = sums[e.bundle].get_or_insert_with(Default::default);
+            num.add_scaled(c * w, e.multiplicity);
+            den.add_scaled(w, e.multiplicity);
         }
-        Ok(prices)
+        Ok(sums
+            .iter()
+            .map(|s| {
+                s.as_ref()
+                    .map(|[num, den]| a * num.value() / ((a - 1.0) * den.value()))
+            })
+            .collect())
+    }
+
+    /// Total profit (Eq. 3) at the optimal bundle prices, summed exactly.
+    fn profit_of(
+        &self,
+        entries: impl Iterator<Item = WeightedEntry> + Clone,
+        n_bundles: usize,
+    ) -> Result<f64> {
+        let prices = self.prices_of(entries.clone(), n_bundles)?;
+        let mut total = ExactSum::new();
+        for e in entries {
+            let p = prices[e.bundle].expect("an entry's bundle has a price");
+            let pi = ced::flow_profit(
+                self.fit.valuations[e.flow],
+                p,
+                self.fit.costs[e.flow],
+                self.fit.alpha,
+            )?;
+            total.add_scaled(pi, e.multiplicity);
+        }
+        Ok(total.value())
     }
 }
 
@@ -335,22 +450,26 @@ impl TransitMarket for CedMarket {
 
     fn bundle_prices(&self, bundling: &Bundling) -> Result<Vec<Option<f64>>> {
         check_bundling(bundling, self.n_flows())?;
-        self.bundle_prices_of(&bundling.members())
+        self.prices_of(unit_entries(bundling), bundling.n_bundles())
     }
 
     fn profit(&self, bundling: &Bundling) -> Result<f64> {
         check_bundling(bundling, self.n_flows())?;
-        let members = bundling.members();
-        let prices = self.bundle_prices_of(&members)?;
-        let mut total = 0.0;
-        for (members, price) in members.iter().zip(&prices) {
-            let Some(p) = price else { continue };
-            for &i in members {
-                total +=
-                    ced::flow_profit(self.fit.valuations[i], *p, self.fit.costs[i], self.fit.alpha)?;
-            }
-        }
-        Ok(total)
+        self.profit_of(unit_entries(bundling), bundling.n_bundles())
+    }
+
+    fn weighted_bundle_prices(
+        &self,
+        entries: &[WeightedEntry],
+        n_bundles: usize,
+    ) -> Result<Vec<Option<f64>>> {
+        check_entries(entries, self.n_flows(), n_bundles)?;
+        self.prices_of(entries.iter().copied(), n_bundles)
+    }
+
+    fn weighted_profit(&self, entries: &[WeightedEntry], n_bundles: usize) -> Result<f64> {
+        check_entries(entries, self.n_flows(), n_bundles)?;
+        self.profit_of(entries.iter().copied(), n_bundles)
     }
 
     fn original_profit(&self) -> f64 {
@@ -438,14 +557,84 @@ impl LogitMarket {
         self.fit.consumers
     }
 
-    /// Aggregates a member set into its bundle valuation and cost
-    /// (Eq. 10–11).
-    fn aggregate(&self, members: &[usize]) -> Result<(f64, f64)> {
-        let vs: Vec<f64> = members.iter().map(|&i| self.fit.valuations[i]).collect();
-        let cs: Vec<f64> = members.iter().map(|&i| self.fit.costs[i]).collect();
-        let vb = logit::bundle_valuation(&vs, self.fit.alpha)?;
-        let cb = logit::bundle_cost(&vs, &cs, self.fit.alpha)?;
-        Ok((vb, cb))
+    /// Optimal bundle prices: Eq. 10–11 aggregates from exactly summed
+    /// softmax weights, then the uniform optimal markup (Eq. 9) over the
+    /// occupied bundles. `None` for bundles without entries.
+    fn prices_of(
+        &self,
+        entries: impl Iterator<Item = WeightedEntry> + Clone,
+        n_bundles: usize,
+    ) -> Result<Vec<Option<f64>>> {
+        let a = self.fit.alpha.get();
+        let (vs, cs) = (&self.fit.valuations, &self.fit.costs);
+        // Shift each bundle's weights by its largest member valuation.
+        let mut shift: Vec<Option<f64>> = vec![None; n_bundles];
+        for e in entries.clone() {
+            let v = vs[e.flow];
+            let m = shift[e.bundle].get_or_insert(v);
+            *m = m.max(v);
+        }
+        // Σ w and Σ c·w with w = e^{alpha(v − shift)}.
+        let mut sums = vec![[ExactSum::new(), ExactSum::new()]; n_bundles];
+        for e in entries {
+            let shift = shift[e.bundle].expect("an entry's bundle is occupied");
+            let w = (a * (vs[e.flow] - shift)).exp();
+            let [sw, scw] = &mut sums[e.bundle];
+            sw.add_scaled(w, e.multiplicity);
+            scw.add_scaled(cs[e.flow] * w, e.multiplicity);
+        }
+        let aggregates: Vec<Option<(f64, f64)>> = shift
+            .iter()
+            .zip(&sums)
+            .map(|(shift, [sw, scw])| {
+                shift.map(|m| {
+                    let sw = sw.value();
+                    (m + sw.ln() / a, scw.value() / sw)
+                })
+            })
+            .collect();
+        if aggregates.iter().all(Option::is_none) {
+            return Err(TransitError::EmptyFlowSet);
+        }
+        let ln_w = log_sum_exp_weighted(
+            aggregates
+                .iter()
+                .flatten()
+                .map(|&(vb, cb)| (a * (vb - cb), 1)),
+        );
+        let markup = logit_pricing::optimal_markup(ln_w, self.fit.alpha)?;
+        Ok(aggregates
+            .iter()
+            .map(|agg| agg.map(|(_, cb)| cb + markup))
+            .collect())
+    }
+
+    /// Total profit (Eq. 8) at the optimal bundle prices: shares (Eq. 6)
+    /// against the outside option, with the log-sum-exp and the profit
+    /// summed exactly.
+    fn profit_of(
+        &self,
+        entries: impl Iterator<Item = WeightedEntry> + Clone,
+        n_bundles: usize,
+    ) -> Result<f64> {
+        let prices = self.prices_of(entries.clone(), n_bundles)?;
+        let consumers = check_positive("consumers", self.fit.consumers)?;
+        let a = self.fit.alpha.get();
+        let (vs, cs) = (&self.fit.valuations, &self.fit.costs);
+        let price = |e: &WeightedEntry| prices[e.bundle].expect("an entry's bundle has a price");
+        let exponent = |e: &WeightedEntry| a * (vs[e.flow] - price(e));
+        let lse = log_sum_exp_weighted(
+            entries
+                .clone()
+                .map(|e| (exponent(&e), e.multiplicity))
+                .chain(std::iter::once((0.0, 1))),
+        );
+        let mut total = ExactSum::new();
+        for e in entries {
+            let share = (exponent(&e) - lse).exp();
+            total.add_scaled(share * (price(&e) - cs[e.flow]), e.multiplicity);
+        }
+        Ok(consumers * total.value())
     }
 }
 
@@ -486,50 +675,26 @@ impl TransitMarket for LogitMarket {
 
     fn bundle_prices(&self, bundling: &Bundling) -> Result<Vec<Option<f64>>> {
         check_bundling(bundling, self.n_flows())?;
-        let members = bundling.members();
-        let occupied: Vec<&Vec<usize>> = members.iter().filter(|m| !m.is_empty()).collect();
-        if occupied.is_empty() {
-            return Err(TransitError::EmptyFlowSet);
-        }
-        let mut vbs = Vec::with_capacity(occupied.len());
-        let mut cbs = Vec::with_capacity(occupied.len());
-        for m in &occupied {
-            let (vb, cb) = self.aggregate(m)?;
-            vbs.push(vb);
-            cbs.push(cb);
-        }
-        let opt = logit_pricing::optimal_prices(&vbs, &cbs, self.fit.alpha)?;
-        let mut out = Vec::with_capacity(members.len());
-        let mut k = 0;
-        for m in &members {
-            if m.is_empty() {
-                out.push(None);
-            } else {
-                out.push(Some(opt.prices[k]));
-                k += 1;
-            }
-        }
-        Ok(out)
+        self.prices_of(unit_entries(bundling), bundling.n_bundles())
     }
 
     fn profit(&self, bundling: &Bundling) -> Result<f64> {
         check_bundling(bundling, self.n_flows())?;
-        // Expand bundle prices back to per-flow prices and evaluate Eq. 8
-        // directly — equivalent to the aggregated computation (see the
-        // bundle_profit_equivalence test in demand::logit) but exercises
-        // the same code path used for arbitrary price vectors.
-        let prices = self.bundle_prices(bundling)?;
-        let mut per_flow = vec![0.0; self.n_flows()];
-        for (flow, &bundle) in bundling.assignment().iter().enumerate() {
-            per_flow[flow] = prices[bundle].expect("flow's own bundle is non-empty");
-        }
-        logit::total_profit(
-            &self.fit.valuations,
-            &per_flow,
-            &self.fit.costs,
-            self.fit.alpha,
-            self.fit.consumers,
-        )
+        self.profit_of(unit_entries(bundling), bundling.n_bundles())
+    }
+
+    fn weighted_bundle_prices(
+        &self,
+        entries: &[WeightedEntry],
+        n_bundles: usize,
+    ) -> Result<Vec<Option<f64>>> {
+        check_entries(entries, self.n_flows(), n_bundles)?;
+        self.prices_of(entries.iter().copied(), n_bundles)
+    }
+
+    fn weighted_profit(&self, entries: &[WeightedEntry], n_bundles: usize) -> Result<f64> {
+        check_entries(entries, self.n_flows(), n_bundles)?;
+        self.profit_of(entries.iter().copied(), n_bundles)
     }
 
     fn original_profit(&self) -> f64 {
@@ -719,7 +884,9 @@ mod tests {
         let mut markups = Vec::new();
         for (price, members) in prices.iter().zip(b.members()) {
             let p = price.unwrap();
-            let (_, cb) = m.aggregate(&members).unwrap();
+            let vs: Vec<f64> = members.iter().map(|&i| m.valuations()[i]).collect();
+            let cs: Vec<f64> = members.iter().map(|&i| m.costs()[i]).collect();
+            let cb = logit::bundle_cost(&vs, &cs, m.alpha()).unwrap();
             markups.push(p - cb);
         }
         for w in markups.windows(2) {
@@ -733,6 +900,74 @@ mod tests {
             let b = Bundling::new(vec![0, 1], 2).unwrap();
             assert!(m.profit(&b).is_err());
             assert!(m.bundle_prices(&b).is_err());
+        }
+    }
+
+    #[test]
+    fn weighted_entries_equal_repeated_flows() {
+        for m in markets() {
+            // Flow 0 twice and flow 3 three times, against a market that
+            // holds those copies as distinct flows.
+            let entries = [
+                WeightedEntry { flow: 0, bundle: 0, multiplicity: 2 },
+                WeightedEntry { flow: 3, bundle: 1, multiplicity: 3 },
+                WeightedEntry { flow: 1, bundle: 1, multiplicity: 1 },
+            ];
+            let (vs, cs, qs) = (m.valuations(), m.costs(), m.demands());
+            let copies = [0, 0, 3, 3, 3, 1];
+            let repeated: Box<dyn TransitMarket> = match m.demand_family() {
+                DemandFamily::Ced => {
+                    let fit = ced_market().fit().clone();
+                    Box::new(
+                        CedMarket::new(CedFit {
+                            demands: copies.iter().map(|&i| qs[i]).collect(),
+                            valuations: copies.iter().map(|&i| vs[i]).collect(),
+                            costs: copies.iter().map(|&i| cs[i]).collect(),
+                            ..fit
+                        })
+                        .unwrap(),
+                    )
+                }
+                DemandFamily::Logit => {
+                    let fit = logit_market().fit().clone();
+                    Box::new(
+                        LogitMarket::new(LogitFit {
+                            demands: copies.iter().map(|&i| qs[i]).collect(),
+                            valuations: copies.iter().map(|&i| vs[i]).collect(),
+                            costs: copies.iter().map(|&i| cs[i]).collect(),
+                            ..fit
+                        })
+                        .unwrap(),
+                    )
+                }
+            };
+            let b = Bundling::new(vec![0, 0, 1, 1, 1, 1], 3).unwrap();
+            assert_eq!(
+                m.weighted_profit(&entries, 3).unwrap().to_bits(),
+                repeated.profit(&b).unwrap().to_bits()
+            );
+            let bits = |p: Vec<Option<f64>>| p.into_iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+            assert_eq!(
+                bits(m.weighted_bundle_prices(&entries, 3).unwrap()),
+                bits(repeated.bundle_prices(&b).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn weighted_entries_are_validated() {
+        for m in markets() {
+            let entry = |flow, bundle, multiplicity| WeightedEntry {
+                flow,
+                bundle,
+                multiplicity,
+            };
+            assert!(m.weighted_profit(&[], 2).is_err());
+            assert!(m.weighted_profit(&[entry(0, 0, 1)], 0).is_err());
+            assert!(m.weighted_profit(&[entry(5, 0, 1)], 2).is_err());
+            assert!(m.weighted_profit(&[entry(0, 2, 1)], 2).is_err());
+            assert!(m.weighted_bundle_prices(&[entry(0, 0, 0)], 2).is_err());
+            assert!(m.weighted_profit(&[entry(4, 1, 7)], 2).is_ok());
         }
     }
 

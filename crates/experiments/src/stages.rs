@@ -317,6 +317,12 @@ impl Stage for CaptureStage {
         "exp.capture"
     }
 
+    /// 2: market profits and prices became correctly rounded exact sums,
+    /// which moved the last digits of the output.
+    fn code_epoch(&self) -> u32 {
+        2
+    }
+
     fn params(&self) -> Content {
         let mut params = market_params(self.family, self.alpha, self.p0, self.s0);
         params.push(("strategy", Content::Str(self.strategy.tag())));
@@ -394,6 +400,12 @@ pub struct ThetaProfitStage {
 impl Stage for ThetaProfitStage {
     fn kind(&self) -> &'static str {
         "exp.theta"
+    }
+
+    /// 2: market profits and prices became correctly rounded exact sums,
+    /// which moved the last digits of the output.
+    fn code_epoch(&self) -> u32 {
+        2
     }
 
     fn params(&self) -> Content {
@@ -523,6 +535,12 @@ impl ResultStage {
 impl Stage for ResultStage {
     fn kind(&self) -> &'static str {
         "exp.result"
+    }
+
+    /// 2: market profits and prices became correctly rounded exact sums,
+    /// which moved the last digits of the output.
+    fn code_epoch(&self) -> u32 {
+        2
     }
 
     fn params(&self) -> Content {

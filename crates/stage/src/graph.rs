@@ -496,7 +496,13 @@ impl Executor {
                 (artifact, true)
             }
             None => {
-                let _span = transit_obs::span!("stage.run", node = i);
+                // Keyed by kind and label, not node index, so the span
+                // tree never merges unrelated stages across graphs.
+                let _span = transit_obs::span!(
+                    "stage.run",
+                    kind = node.stage.kind(),
+                    label = node.label
+                );
                 let artifact = node.stage.run(deps).map_err(|message| StageError::Failed {
                     label: node.label.clone(),
                     message,

@@ -109,8 +109,8 @@ fn curated_corpus() -> Vec<CorpusCase> {
     let mut cases = vec![
         CorpusCase {
             name: "coalesce-eps0-replicated-ced".into(),
-            note: "ε=0 coalescing of 3× replicated CED flows must delegate profits and \
-                   prices bitwise through expand()"
+            note: "ε=0 coalescing of 3× replicated CED flows must evaluate profits and \
+                   prices per group, bitwise equal to the raw market on the expanded bundling"
                 .into(),
             scenario: Scenario::Coalesce {
                 market: base_market(
@@ -141,8 +141,8 @@ fn curated_corpus() -> Vec<CorpusCase> {
         },
         CorpusCase {
             name: "coalesce-logit-delegation".into(),
-            note: "lossy ε=0.25 coalescing of a logit market still delegates every \
-                   evaluation bitwise to the raw market"
+            note: "lossy ε=0.25 coalescing of a logit market still evaluates every \
+                   bundling bitwise equal to the raw market"
                 .into(),
             scenario: Scenario::Coalesce {
                 market: base_market(

@@ -4,7 +4,7 @@
 //! | fast path | reference | contract |
 //! |---|---|---|
 //! | `CoalescedMarket` (ε = 0, duplicate-free) | raw market | bitwise |
-//! | `CoalescedMarket` delegation (any ε) | `expand` + raw market | bitwise |
+//! | `CoalescedMarket` exact grouped evaluation (any ε) | raw market on the `expand`ed bundling | bitwise |
 //! | `CoalescedMarket` (ε > 0, CED) | `OptimalExhaustive` on raw | `π_raw − π_ε ≤ 2·D_exact ≤ 2·D(ε)` |
 //! | `OptimalDp` tiled (`dp_threads ∈ {2, 8}` × pool budgets `{1, 2, 8}`) | `dp_threads = 1` | bitwise |
 //! | `bundle_series` (every strategy) | per-point `bundle` loop | bitwise |
@@ -328,14 +328,15 @@ fn coalesce_checks<M: TransitMarket>(
     let cm = CoalescedMarket::with_epsilon(market, epsilon)
         .map_err(|e| div(F, format!("with_epsilon rejected a valid market: {e:?}")))?;
 
-    // (a) Delegation is bitwise at ANY ε: evaluating a group-level
-    // bundling through the coalesced view must equal expanding it and
-    // evaluating on the raw market.
+    // (a) Exact grouped evaluation is bitwise at ANY ε: evaluating a
+    // group-level bundling through the coalesced view (one weighted entry
+    // per run of bitwise-equal flows, summed exactly) must equal
+    // expanding it and evaluating on the raw market.
     if cm.original_profit().to_bits() != cm.inner().original_profit().to_bits() {
-        return Err(div(F, "original_profit does not delegate bitwise".into()));
+        return Err(div(F, "original_profit differs from the raw market".into()));
     }
     if cm.max_profit().to_bits() != cm.inner().max_profit().to_bits() {
-        return Err(div(F, "max_profit does not delegate bitwise".into()));
+        return Err(div(F, "max_profit differs from the raw market".into()));
     }
     for strategy in strategy_suite(cm.n_groups()) {
         let series = strategy
@@ -356,7 +357,7 @@ fn coalesce_checks<M: TransitMarket>(
                 return Err(div(
                     F,
                     format!(
-                        "{} b={}: profit delegation diverged ({via_cm} vs {via_raw})",
+                        "{} b={}: grouped profit diverged from raw ({via_cm} vs {via_raw})",
                         strategy.name(),
                         idx + 1
                     ),
@@ -382,7 +383,7 @@ fn coalesce_checks<M: TransitMarket>(
                 return Err(div(
                     F,
                     format!(
-                        "{} b={}: bundle price delegation diverged",
+                        "{} b={}: grouped bundle prices diverged from raw",
                         strategy.name(),
                         idx + 1
                     ),

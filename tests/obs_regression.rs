@@ -209,3 +209,65 @@ fn pooled_stage_spans_never_surface_as_roots() {
         );
     }
 }
+
+/// Every `stage.run(…)` span key in the subtree of `node`.
+fn stage_run_keys<'a>(node: &'a obs::SpanNode, keys: &mut Vec<&'a str>) {
+    for (key, child) in &node.children {
+        if key.starts_with("stage.run(") {
+            keys.push(key);
+        }
+        stage_run_keys(child, keys);
+    }
+}
+
+/// Stage spans are keyed by stage kind and label, never by node index:
+/// in a profiled `full --quick` invocation every `stage.run(…)` key maps
+/// to exactly one stage kind, so aggregation never merges unrelated
+/// stages under one key.
+#[test]
+fn stage_spans_are_keyed_by_kind_and_label() {
+    use std::collections::{HashMap, HashSet};
+    use tiered_transit::experiments::{ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};
+
+    let _guard = level_lock();
+    obs::set_log_level(obs::Level::Info);
+    let ids: Vec<&str> = ALL_IDS
+        .iter()
+        .chain(&SENSITIVITY_IDS)
+        .chain(&EXTENSION_IDS)
+        .copied()
+        .collect();
+    let config = ExperimentConfig {
+        log_level: obs::Level::Info,
+        ..ExperimentConfig::quick()
+    };
+    let results: Vec<_> = runners::run_all(&ids, &config)
+        .expect("invocation runs")
+        .collect::<Result<_, _>>()
+        .expect("every experiment assembles");
+    let mut kinds_by_label: HashMap<&str, HashSet<&str>> = HashMap::new();
+    for report in results.iter().flat_map(|r| &r.stage_reports) {
+        kinds_by_label
+            .entry(&report.label)
+            .or_default()
+            .insert(&report.kind);
+    }
+
+    let spans = obs::snapshot_spans();
+    let invocation = &spans[&format!("experiment(id={})", ids.join(","))];
+    let mut keys = Vec::new();
+    stage_run_keys(invocation, &mut keys);
+    assert!(!keys.is_empty(), "the invocation records stage spans");
+    for key in keys {
+        let (kind, label) = key
+            .strip_prefix("stage.run(kind=")
+            .and_then(|k| k.strip_suffix(')'))
+            .and_then(|k| k.split_once(", label="))
+            .unwrap_or_else(|| panic!("{key}: not keyed by kind and label"));
+        assert_eq!(
+            kinds_by_label.get(label),
+            Some(&HashSet::from([kind])),
+            "{key}: its label belongs to other stage kinds too"
+        );
+    }
+}

@@ -1,6 +1,6 @@
 //! # transit-bench
 //!
-//! Criterion benchmark harness for the tiered-transit workspace. Three
+//! Criterion benchmark harness for the tiered-transit workspace. Five
 //! suites (see `benches/`):
 //!
 //! * `figures` — one benchmark per paper table/figure, each running the
@@ -14,15 +14,15 @@
 //!   token-bucket vs equal-count grouping, exact logit pricing vs the
 //!   paper's gradient heuristic, DP ordering count, and flow-aggregation
 //!   granularity.
-
+//! * `sweep` — one stage graph at `--threads 1` vs `--threads 8`.
+//! * `kernels` — the evaluation hot path in isolation: the DP table
+//!   build, one-pass vs per-point capture curves, tiled DP, coalescing,
+//!   and the NetFlow ingest fast path.
 //!
-//! Beyond the criterion suites, the crate owns the **bench-history
-//! ledger** ([`history`]): `sweep_smoke --gate` and the check.sh
-//! obs-smoke append one schema-versioned JSON line per run to
-//! `BENCH_history.jsonl`, and the `obs_report` bin renders the ledger as
-//! a markdown perf report with deltas between consecutive entries.
-
-pub mod history;
+//! The `smoke` bin holds the bounded end-to-end checks of
+//! `scripts/check.sh` (large-n, ingest, store, obs). Each checks
+//! absolute bounds and reads no baseline; regressions against the parent
+//! commit are measured by the repository benchmark under `perfbench/`.
 
 /// The reduced flow count shared by the figure benches.
 pub const BENCH_FLOWS: usize = 80;

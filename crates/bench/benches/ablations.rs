@@ -96,8 +96,7 @@ fn ablation_logit_solver(c: &mut Criterion) {
 
     // Quality check: both land on the same profit.
     let exact = logit_pricing::optimal_prices(&vbs, &cbs, alpha).unwrap();
-    let exact_profit =
-        logit::total_profit(&vbs, &exact.prices, &cbs, alpha, f.consumers).unwrap();
+    let exact_profit = logit::total_profit(&vbs, &exact.prices, &cbs, alpha, f.consumers).unwrap();
     let start: Vec<f64> = cbs.iter().map(|&cb| cb + 1.0).collect();
     let grad = gradient_ascent(
         |p| logit::total_profit(&vbs, p, &cbs, alpha, f.consumers).unwrap_or(f64::NEG_INFINITY),
@@ -113,7 +112,13 @@ fn ablation_logit_solver(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ablation_logit_solver");
     g.bench_function("exact_fixed_point", |b| {
-        b.iter(|| black_box(logit_pricing::optimal_prices(&vbs, &cbs, alpha).unwrap().markup))
+        b.iter(|| {
+            black_box(
+                logit_pricing::optimal_prices(&vbs, &cbs, alpha)
+                    .unwrap()
+                    .markup,
+            )
+        })
     });
     g.sample_size(10);
     g.bench_function("gradient_heuristic", |b| {
@@ -145,7 +150,10 @@ fn ablation_optimal_orderings(c: &mut Criterion) {
     let ex = OptimalExhaustive;
     let p_dp = small.profit(&dp.bundle(&small, 3).unwrap()).unwrap();
     let p_ex = small.profit(&ex.bundle(&small, 3).unwrap()).unwrap();
-    assert!((p_dp - p_ex).abs() / p_ex < 1e-9, "dp {p_dp} vs exhaustive {p_ex}");
+    assert!(
+        (p_dp - p_ex).abs() / p_ex < 1e-9,
+        "dp {p_dp} vs exhaustive {p_ex}"
+    );
 
     let mut g = c.benchmark_group("ablation_optimal");
     g.bench_function("dp_four_orderings_n12", |b| {
@@ -176,7 +184,11 @@ fn ablation_aggregation(c: &mut Criterion) {
         let tail = &sorted[top_n.min(sorted.len())..];
         if !tail.is_empty() {
             let q: f64 = tail.iter().map(|f| f.demand_mbps).sum();
-            let d = tail.iter().map(|f| f.demand_mbps * f.distance_miles).sum::<f64>() / q;
+            let d = tail
+                .iter()
+                .map(|f| f.demand_mbps * f.distance_miles)
+                .sum::<f64>()
+                / q;
             out.push(TrafficFlow::new(top_n as u32, q, d));
         }
         out

@@ -82,9 +82,7 @@ fn capture_curves(c: &mut Criterion) {
         g.sample_size(10);
         g.bench_function("one_pass", |b| {
             b.iter(|| {
-                black_box(
-                    capture_curve(market.as_ref(), &OptimalDp::default(), B_MAX).unwrap(),
-                )
+                black_box(capture_curve(market.as_ref(), &OptimalDp::default(), B_MAX).unwrap())
             })
         });
         g.bench_function("per_point", |b| {
@@ -135,8 +133,13 @@ fn coalesce_kernels(c: &mut Criterion) {
     let dataset = generate_replicated(Network::EuIsp, 500, 200, 42); // 100k raw
     let cost = LinearCost::new(0.2).expect("valid theta");
     let market = CedMarket::new(
-        fit_ced(&dataset.flows, &cost, CedAlpha::new(1.1).expect("valid alpha"), 20.0)
-            .expect("fits"),
+        fit_ced(
+            &dataset.flows,
+            &cost,
+            CedAlpha::new(1.1).expect("valid alpha"),
+            20.0,
+        )
+        .expect("fits"),
     )
     .expect("builds");
     let coalesced = CoalescedMarket::new(market.clone()).expect("coalesces");
@@ -267,7 +270,11 @@ fn ingest_kernels(c: &mut Criterion) {
     let workers_n = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    for workers in if workers_n > 1 { vec![1, workers_n] } else { vec![1] } {
+    for workers in if workers_n > 1 {
+        vec![1, workers_n]
+    } else {
+        vec![1]
+    } {
         g.bench_function(&format!("ingest_batch_workers{workers}"), |b| {
             b.iter(|| {
                 let mut collector = Collector::with_shards_and_workers(workers.min(8), workers);

@@ -166,7 +166,13 @@ fn dataset_and_fitting(c: &mut Criterion) {
     let mut g = c.benchmark_group("dataset_fitting");
     g.sample_size(20);
     g.bench_function("generate_eu_isp", |b| {
-        b.iter(|| black_box(generate(Network::EuIsp, BENCH_FLOWS, BENCH_SEED).flows.len()))
+        b.iter(|| {
+            black_box(
+                generate(Network::EuIsp, BENCH_FLOWS, BENCH_SEED)
+                    .flows
+                    .len(),
+            )
+        })
     });
 
     let flows = generate(Network::EuIsp, BENCH_FLOWS, BENCH_SEED).flows;
@@ -174,21 +180,15 @@ fn dataset_and_fitting(c: &mut Criterion) {
     g.bench_function("fit_ced", |b| {
         b.iter(|| {
             black_box(
-                fit_ced(
-                    black_box(&flows),
-                    &cost,
-                    CedAlpha::new(1.1).unwrap(),
-                    20.0,
-                )
-                .unwrap()
-                .gamma,
+                fit_ced(black_box(&flows), &cost, CedAlpha::new(1.1).unwrap(), 20.0)
+                    .unwrap()
+                    .gamma,
             )
         })
     });
 
     let market =
-        CedMarket::new(fit_ced(&flows, &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap())
-            .unwrap();
+        CedMarket::new(fit_ced(&flows, &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap()).unwrap();
     let members: Vec<usize> = (0..BENCH_FLOWS / 2).collect();
     g.bench_function("bundle_score", |b| {
         b.iter(|| black_box(market.bundle_score(black_box(&members))))
@@ -239,9 +239,18 @@ fn routing_policy_and_te(c: &mut Criterion) {
         rib.announce(policy.apply(r.clone()));
     }
     let rates = [
-        TierRate { tier: TierTag(0), dollars_per_mbps: 5.0 },
-        TierRate { tier: TierTag(1), dollars_per_mbps: 11.0 },
-        TierRate { tier: TierTag(2), dollars_per_mbps: 24.0 },
+        TierRate {
+            tier: TierTag(0),
+            dollars_per_mbps: 5.0,
+        },
+        TierRate {
+            tier: TierTag(1),
+            dollars_per_mbps: 11.0,
+        },
+        TierRate {
+            tier: TierTag(2),
+            dollars_per_mbps: 24.0,
+        },
     ];
     let mut egress = EgressPolicy::new(&rates);
     let traffic: Vec<(Ipv4Addr, f64)> = (0u32..500)
@@ -250,7 +259,10 @@ fn routing_policy_and_te(c: &mut Criterion) {
             if i % 3 == 0 {
                 egress.add_backbone_option(
                     dst,
-                    BackboneOption { haul_cost: 4.0, handoff_price: 6.0 },
+                    BackboneOption {
+                        haul_cost: 4.0,
+                        handoff_price: 6.0,
+                    },
                 );
             }
             (dst, 10.0)
@@ -281,12 +293,8 @@ fn timed_exporter(c: &mut Criterion) {
     let mut g = c.benchmark_group("timed_exporter");
     g.bench_function("expire_1000_flows", |b| {
         b.iter(|| {
-            let mut e = TimedExporter::new(
-                1,
-                SystematicSampler::new(10),
-                TimeoutConfig::default(),
-                0,
-            );
+            let mut e =
+                TimedExporter::new(1, SystematicSampler::new(10), TimeoutConfig::default(), 0);
             let mut out = 0usize;
             for round in 0..10u32 {
                 for i in 0..100u32 {

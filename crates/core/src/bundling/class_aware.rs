@@ -224,10 +224,8 @@ mod tests {
         for b in 2..=6 {
             let bundling = strategy.bundle(&market, b).unwrap();
             for members in bundling.members() {
-                let classes: std::collections::HashSet<_> = members
-                    .iter()
-                    .map(|&i| split[i].dest_class)
-                    .collect();
+                let classes: std::collections::HashSet<_> =
+                    members.iter().map(|&i| split[i].dest_class).collect();
                 assert!(classes.len() <= 1, "bundle mixes classes at b={b}");
             }
         }

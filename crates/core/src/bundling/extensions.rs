@@ -271,7 +271,11 @@ mod tests {
         // between them.
         let flows: Vec<TrafficFlow> = (0..10)
             .map(|i| {
-                let d = if i < 5 { 10.0 + i as f64 } else { 2000.0 + i as f64 };
+                let d = if i < 5 {
+                    10.0 + i as f64
+                } else {
+                    2000.0 + i as f64
+                };
                 TrafficFlow::new(i, 10.0, d)
             })
             .collect();
@@ -318,7 +322,11 @@ mod tests {
             let p_opt = m.profit(&optimal.bundle(&m, b).unwrap()).unwrap();
             for strategy in [&NaturalBreaks as &dyn BundlingStrategy, &DemandMassDivision] {
                 let p = m.profit(&strategy.bundle(&m, b).unwrap()).unwrap();
-                assert!(p <= p_opt + 1e-9, "{} beat optimal at b={b}", strategy.name());
+                assert!(
+                    p <= p_opt + 1e-9,
+                    "{} beat optimal at b={b}",
+                    strategy.name()
+                );
             }
         }
     }
@@ -355,7 +363,9 @@ mod tests {
 
     #[test]
     fn handle_more_bundles_than_flows() {
-        let flows: Vec<TrafficFlow> = (0..3).map(|i| TrafficFlow::new(i, 10.0, 10.0 + i as f64)).collect();
+        let flows: Vec<TrafficFlow> = (0..3)
+            .map(|i| TrafficFlow::new(i, 10.0, 10.0 + i as f64))
+            .collect();
         let m = CedMarket::new(
             fit_ced(
                 &flows,

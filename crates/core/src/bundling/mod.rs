@@ -187,9 +187,7 @@ impl StrategyKind {
         match self {
             StrategyKind::Optimal => Box::new(OptimalDp::default()),
             StrategyKind::CostWeighted => Box::new(TokenBucket::new(WeightKind::InverseCost)),
-            StrategyKind::ProfitWeighted => {
-                Box::new(TokenBucket::new(WeightKind::PotentialProfit))
-            }
+            StrategyKind::ProfitWeighted => Box::new(TokenBucket::new(WeightKind::PotentialProfit)),
             StrategyKind::DemandWeighted => Box::new(TokenBucket::new(WeightKind::Demand)),
             StrategyKind::CostDivision => Box::new(CostDivision),
             StrategyKind::IndexDivision => Box::new(IndexDivision),

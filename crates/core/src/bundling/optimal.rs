@@ -263,8 +263,7 @@ impl DpTables {
         let n = pa.len() - 1;
         let b_cap = b_cap.min(n);
         let w = n + 1;
-        let run_score =
-            |from: usize, to: usize| terms.score(pa[to] - pa[from], pb[to] - pb[from]);
+        let run_score = |from: usize, to: usize| terms.score(pa[to] - pa[from], pb[to] - pb[from]);
         let tri = |from: usize, to: usize| to * (to - 1) / 2 + from;
 
         // One cell of row `b`: best (value, parent) over split points
@@ -635,7 +634,7 @@ mod tests {
 
     #[test]
     fn dp_dominates_every_heuristic() {
-        use crate::bundling::{StrategyKind};
+        use crate::bundling::StrategyKind;
         let fs = flows(17, 25);
         let m = ced(&fs);
         for b in 1..=6 {
@@ -680,7 +679,9 @@ mod tests {
         let m = ced(&fs);
         let baseline = OptimalDp::with_threads(1).bundle_series(&m, 6).unwrap();
         for threads in [2usize, 8] {
-            let tiled = OptimalDp::with_threads(threads).bundle_series(&m, 6).unwrap();
+            let tiled = OptimalDp::with_threads(threads)
+                .bundle_series(&m, 6)
+                .unwrap();
             assert_eq!(baseline, tiled, "dp_threads={threads} diverged");
         }
     }

@@ -125,8 +125,11 @@ pub fn capture_curve(
     strategy: &dyn BundlingStrategy,
     max_bundles: usize,
 ) -> Result<CaptureCurve> {
-    let _span =
-        transit_obs::debug_span!("capture_curve", strategy = strategy.name(), max = max_bundles);
+    let _span = transit_obs::debug_span!(
+        "capture_curve",
+        strategy = strategy.name(),
+        max = max_bundles
+    );
     eval_counter(strategy.name()).add(max_bundles as u64);
 
     let bundlings = strategy.bundle_series(market, max_bundles)?;
@@ -207,8 +210,10 @@ mod tests {
         let cost = LinearCost::new(0.2).unwrap();
         vec![
             Box::new(
-                CedMarket::new(fit_ced(&flows(), &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap())
-                    .unwrap(),
+                CedMarket::new(
+                    fit_ced(&flows(), &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap(),
+                )
+                .unwrap(),
             ),
             Box::new(
                 LogitMarket::new(
@@ -255,7 +260,10 @@ mod tests {
                 assert!(w[1] >= w[0] - 1e-9, "optimal capture decreased: {w:?}");
             }
             for &c in &curve.capture {
-                assert!((-1e-9..=1.0 + 1e-9).contains(&c), "capture out of range: {c}");
+                assert!(
+                    (-1e-9..=1.0 + 1e-9).contains(&c),
+                    "capture out of range: {c}"
+                );
             }
         }
     }
@@ -393,7 +401,11 @@ mod tests {
             "worse-than-original profit reported positive capture: {}",
             out.capture
         );
-        assert!((out.capture - (-2.0)).abs() < 1e-12, "capture = {}", out.capture);
+        assert!(
+            (out.capture - (-2.0)).abs() < 1e-12,
+            "capture = {}",
+            out.capture
+        );
     }
 
     #[test]

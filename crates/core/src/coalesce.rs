@@ -268,11 +268,7 @@ impl<M: TransitMarket> CoalescedMarket<M> {
     pub fn expand(&self, bundling: &Bundling) -> Result<Bundling> {
         check_bundling(bundling, self.n_groups())?;
         let groups = bundling.assignment();
-        let raw: Vec<usize> = self
-            .group_of
-            .iter()
-            .map(|&g| groups[g as usize])
-            .collect();
+        let raw: Vec<usize> = self.group_of.iter().map(|&g| groups[g as usize]).collect();
         Bundling::new(raw, bundling.n_bundles())
     }
 
@@ -287,11 +283,12 @@ impl<M: TransitMarket> CoalescedMarket<M> {
         for e in entries {
             let (lo, hi) = (self.run_start[e.flow], self.run_start[e.flow + 1]);
             for &(flow, count) in &self.runs[lo as usize..hi as usize] {
-                let multiplicity = count.checked_mul(e.multiplicity).ok_or(
-                    TransitError::InvalidBundling {
-                        reason: "weighted entry multiplicity overflows u64",
-                    },
-                )?;
+                let multiplicity =
+                    count
+                        .checked_mul(e.multiplicity)
+                        .ok_or(TransitError::InvalidBundling {
+                            reason: "weighted entry multiplicity overflows u64",
+                        })?;
                 raw.push(WeightedEntry {
                     flow: flow as usize,
                     bundle: e.bundle,
@@ -343,7 +340,8 @@ impl<M: TransitMarket> TransitMarket for CoalescedMarket<M> {
     fn bundle_prices(&self, bundling: &Bundling) -> Result<Vec<Option<f64>>> {
         check_bundling(bundling, self.n_groups())?;
         let raw = self.raw_entries(unit_entries(bundling))?;
-        self.inner.weighted_bundle_prices(&raw, bundling.n_bundles())
+        self.inner
+            .weighted_bundle_prices(&raw, bundling.n_bundles())
     }
 
     fn profit(&self, bundling: &Bundling) -> Result<f64> {
@@ -449,7 +447,9 @@ mod tests {
                 cm.inner().valuations()[first].to_bits()
             );
             assert_eq!(cm.costs()[g].to_bits(), cm.inner().costs()[first].to_bits());
-            let sum_a: f64 = members.iter().fold(0.0, |s, &i| s + raw_terms.a[i as usize]);
+            let sum_a: f64 = members
+                .iter()
+                .fold(0.0, |s, &i| s + raw_terms.a[i as usize]);
             assert_eq!(cm.score_terms().a[g].to_bits(), sum_a.to_bits());
         }
     }
@@ -493,7 +493,8 @@ mod tests {
             );
             let grouped = cm.bundle_prices(&gb).unwrap();
             let raw = cm.inner().bundle_prices(&expanded).unwrap();
-            let bits = |p: &[Option<f64>]| p.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+            let bits =
+                |p: &[Option<f64>]| p.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
             assert_eq!(bits(&grouped), bits(&raw));
         }
     }
@@ -535,7 +536,10 @@ mod tests {
         let dp = StrategyKind::Optimal.build();
         let on_raw = dp.bundle(cm.inner(), 3).unwrap();
         let on_groups = dp.bundle(&cm, 3).unwrap();
-        assert_eq!(cm.expand(&on_groups).unwrap().assignment(), on_raw.assignment());
+        assert_eq!(
+            cm.expand(&on_groups).unwrap().assignment(),
+            on_raw.assignment()
+        );
     }
 
     #[test]

@@ -141,7 +141,10 @@ mod tests {
         let flows: Vec<TrafficFlow> = (0..50)
             .map(|i| TrafficFlow::new(i, 1.0, 1.0 + (i as f64) * 40.0))
             .collect();
-        let lin = LinearCost::new(0.2).unwrap().relative_costs(&flows).unwrap();
+        let lin = LinearCost::new(0.2)
+            .unwrap()
+            .relative_costs(&flows)
+            .unwrap();
         let con = ConcaveCost::paper_fit(0.2)
             .unwrap()
             .relative_costs(&flows)

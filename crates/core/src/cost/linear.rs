@@ -69,22 +69,40 @@ mod tests {
             TrafficFlow::new(1, 1.0, 10.0),
             TrafficFlow::new(2, 1.0, 100.0),
         ];
-        let costs = LinearCost::new(0.1).unwrap().relative_costs(&flows).unwrap();
+        let costs = LinearCost::new(0.1)
+            .unwrap()
+            .relative_costs(&flows)
+            .unwrap();
         assert_eq!(costs, vec![11.0, 20.0, 110.0]);
     }
 
     #[test]
     fn zero_theta_gives_pure_distance() {
-        let flows = vec![TrafficFlow::new(0, 1.0, 7.0), TrafficFlow::new(1, 1.0, 70.0)];
-        let costs = LinearCost::new(0.0).unwrap().relative_costs(&flows).unwrap();
+        let flows = vec![
+            TrafficFlow::new(0, 1.0, 7.0),
+            TrafficFlow::new(1, 1.0, 70.0),
+        ];
+        let costs = LinearCost::new(0.0)
+            .unwrap()
+            .relative_costs(&flows)
+            .unwrap();
         assert_eq!(costs, vec![7.0, 70.0]);
     }
 
     #[test]
     fn higher_theta_compresses_relative_costs() {
-        let flows = vec![TrafficFlow::new(0, 1.0, 1.0), TrafficFlow::new(1, 1.0, 100.0)];
-        let low = LinearCost::new(0.1).unwrap().relative_costs(&flows).unwrap();
-        let high = LinearCost::new(1.0).unwrap().relative_costs(&flows).unwrap();
+        let flows = vec![
+            TrafficFlow::new(0, 1.0, 1.0),
+            TrafficFlow::new(1, 1.0, 100.0),
+        ];
+        let low = LinearCost::new(0.1)
+            .unwrap()
+            .relative_costs(&flows)
+            .unwrap();
+        let high = LinearCost::new(1.0)
+            .unwrap()
+            .relative_costs(&flows)
+            .unwrap();
         let ratio_low = low[1] / low[0];
         let ratio_high = high[1] / high[0];
         assert!(

@@ -103,7 +103,10 @@ mod tests {
     fn uses_flow_region_not_distance() {
         // A long-distance flow explicitly tagged metro must be costed metro.
         let flows = vec![TrafficFlow::new(0, 1.0, 5000.0).with_region(Region::Metro)];
-        let costs = RegionalCost::new(1.0).unwrap().relative_costs(&flows).unwrap();
+        let costs = RegionalCost::new(1.0)
+            .unwrap()
+            .relative_costs(&flows)
+            .unwrap();
         assert_eq!(costs, vec![1.0]);
     }
 

@@ -207,7 +207,10 @@ mod tests {
         let a = alpha(2.0);
         let p = bundle_price(&[100.0, 1.0], &[0.5, 5.0], a).unwrap();
         let p_cheap = optimal_price(0.5, a).unwrap();
-        assert!((p - p_cheap).abs() / p_cheap < 0.01, "p={p}, p_cheap={p_cheap}");
+        assert!(
+            (p - p_cheap).abs() / p_cheap < 0.01,
+            "p={p}, p_cheap={p_cheap}"
+        );
     }
 
     #[test]

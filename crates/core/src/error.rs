@@ -84,7 +84,10 @@ impl fmt::Display for TransitError {
             }
             TransitError::ZeroBundles => write!(f, "number of bundles must be at least 1"),
             TransitError::NoConvergence { solver, iterations } => {
-                write!(f, "{solver} failed to converge after {iterations} iterations")
+                write!(
+                    f,
+                    "{solver} failed to converge after {iterations} iterations"
+                )
             }
             TransitError::InstanceTooLarge { n_flows, max_flows } => write!(
                 f,

@@ -327,8 +327,14 @@ mod tests {
     #[test]
     fn higher_demand_implies_higher_valuation_both_models() {
         let ced_fit = fit_ced(&flows(), &cost_model(), CedAlpha::new(1.3).unwrap(), 20.0).unwrap();
-        let logit_fit =
-            fit_logit(&flows(), &cost_model(), LogitAlpha::new(1.3).unwrap(), 20.0, 0.2).unwrap();
+        let logit_fit = fit_logit(
+            &flows(),
+            &cost_model(),
+            LogitAlpha::new(1.3).unwrap(),
+            20.0,
+            0.2,
+        )
+        .unwrap();
         // flows() demands are strictly decreasing, so valuations must be too.
         for w in ced_fit.valuations.windows(2) {
             assert!(w[0] > w[1]);

@@ -256,7 +256,10 @@ mod tests {
 
     #[test]
     fn validate_flows_reports_index() {
-        let flows = vec![TrafficFlow::new(0, 1.0, 10.0), TrafficFlow::new(1, -1.0, 10.0)];
+        let flows = vec![
+            TrafficFlow::new(0, 1.0, 10.0),
+            TrafficFlow::new(1, -1.0, 10.0),
+        ];
         match validate_flows(&flows) {
             Err(TransitError::InvalidFlow { index, .. }) => assert_eq!(index, 1),
             other => panic!("expected InvalidFlow, got {other:?}"),
@@ -265,7 +268,10 @@ mod tests {
 
     #[test]
     fn split_by_dest_class_preserves_total_demand() {
-        let flows = vec![TrafficFlow::new(0, 10.0, 5.0), TrafficFlow::new(1, 4.0, 500.0)];
+        let flows = vec![
+            TrafficFlow::new(0, 10.0, 5.0),
+            TrafficFlow::new(1, 4.0, 500.0),
+        ];
         let split = split_by_dest_class(&flows, 0.3).unwrap();
         assert_eq!(split.len(), 4);
         let total: f64 = split.iter().map(|f| f.demand_mbps).sum();

@@ -86,6 +86,6 @@ pub use demand::DemandFamily;
 pub use error::{Result, TransitError};
 pub use estimate::{estimate_ced_alpha, estimate_logit_alpha, PricePoint};
 pub use fitting::{fit_ced, fit_logit, CedFit, LogitFit};
-pub use instruments::{instrument_report, InstrumentOutcome, PricingInstrument};
 pub use flow::{DestClass, FlowId, Region, TrafficFlow};
+pub use instruments::{instrument_report, InstrumentOutcome, PricingInstrument};
 pub use market::{CedMarket, LogitMarket, TransitMarket};

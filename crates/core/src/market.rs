@@ -345,7 +345,11 @@ impl CedMarket {
     pub fn score_terms_uncached(&self) -> ScoreTerms {
         let alpha = self.fit.alpha.get();
         let a: Vec<f64> = self.fit.valuations.iter().map(|&v| v.powf(alpha)).collect();
-        let b: Vec<f64> = a.iter().zip(&self.fit.costs).map(|(&ai, &c)| ai * c).collect();
+        let b: Vec<f64> = a
+            .iter()
+            .zip(&self.fit.costs)
+            .map(|(&ai, &c)| ai * c)
+            .collect();
         ScoreTerms {
             a,
             b,
@@ -527,7 +531,11 @@ impl LogitMarket {
             .iter()
             .map(|&v| (alpha * (v - max_v)).exp())
             .collect();
-        let b: Vec<f64> = a.iter().zip(&self.fit.costs).map(|(&ai, &c)| ai * c).collect();
+        let b: Vec<f64> = a
+            .iter()
+            .zip(&self.fit.costs)
+            .map(|(&ai, &c)| ai * c)
+            .collect();
         ScoreTerms {
             a,
             b,
@@ -840,11 +848,7 @@ mod tests {
     fn ced_bundle_score_is_actual_bundle_profit() {
         let m = ced_market();
         let b = Bundling::new(vec![0, 0, 1, 1, 1], 2).unwrap();
-        let total_score: f64 = b
-            .members()
-            .iter()
-            .map(|ms| m.bundle_score(ms))
-            .sum();
+        let total_score: f64 = b.members().iter().map(|ms| m.bundle_score(ms)).sum();
         let profit = m.profit(&b).unwrap();
         assert!((total_score - profit).abs() / profit < 1e-9);
     }
@@ -909,9 +913,21 @@ mod tests {
             // Flow 0 twice and flow 3 three times, against a market that
             // holds those copies as distinct flows.
             let entries = [
-                WeightedEntry { flow: 0, bundle: 0, multiplicity: 2 },
-                WeightedEntry { flow: 3, bundle: 1, multiplicity: 3 },
-                WeightedEntry { flow: 1, bundle: 1, multiplicity: 1 },
+                WeightedEntry {
+                    flow: 0,
+                    bundle: 0,
+                    multiplicity: 2,
+                },
+                WeightedEntry {
+                    flow: 3,
+                    bundle: 1,
+                    multiplicity: 3,
+                },
+                WeightedEntry {
+                    flow: 1,
+                    bundle: 1,
+                    multiplicity: 1,
+                },
             ];
             let (vs, cs, qs) = (m.valuations(), m.costs(), m.demands());
             let copies = [0, 0, 3, 3, 3, 1];
@@ -946,7 +962,11 @@ mod tests {
                 m.weighted_profit(&entries, 3).unwrap().to_bits(),
                 repeated.profit(&b).unwrap().to_bits()
             );
-            let bits = |p: Vec<Option<f64>>| p.into_iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+            let bits = |p: Vec<Option<f64>>| {
+                p.into_iter()
+                    .map(|x| x.map(f64::to_bits))
+                    .collect::<Vec<_>>()
+            };
             assert_eq!(
                 bits(m.weighted_bundle_prices(&entries, 3).unwrap()),
                 bits(repeated.bundle_prices(&b).unwrap())

@@ -63,7 +63,8 @@ mod tests {
 
     #[test]
     fn finds_parabola_peak() {
-        let (x, fx) = golden_section_max(|x| -(x - 3.0) * (x - 3.0) + 7.0, 0.0, 10.0, 1e-9).unwrap();
+        let (x, fx) =
+            golden_section_max(|x| -(x - 3.0) * (x - 3.0) + 7.0, 0.0, 10.0, 1e-9).unwrap();
         assert!((x - 3.0).abs() < 1e-6);
         assert!((fx - 7.0).abs() < 1e-9);
     }

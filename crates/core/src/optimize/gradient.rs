@@ -54,11 +54,7 @@ pub struct GradientOutcome {
 /// Maximizes `f` from `x0` by projected gradient ascent.
 ///
 /// `f` must be finite at `x0` and on the feasible set `x >= lower_bound`.
-pub fn gradient_ascent<F>(
-    mut f: F,
-    x0: &[f64],
-    opts: GradientOptions,
-) -> Result<GradientOutcome>
+pub fn gradient_ascent<F>(mut f: F, x0: &[f64], opts: GradientOptions) -> Result<GradientOutcome>
 where
     F: FnMut(&[f64]) -> f64,
 {

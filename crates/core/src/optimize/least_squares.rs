@@ -118,7 +118,10 @@ mod tests {
     fn recovers_exact_curve() {
         // y = 0.5·log_6(x) + 1 sampled without noise.
         let xs: Vec<f64> = (1..=20).map(|i| i as f64 * 0.05).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 0.5 * x.ln() / 6.0f64.ln() + 1.0).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|&x| 0.5 * x.ln() / 6.0f64.ln() + 1.0)
+            .collect();
         let fit = fit_log_curve(&xs, &ys).unwrap();
         assert!(fit.ssr < 1e-12, "ssr = {}", fit.ssr);
         // The (a, b) pair is ridge-identified only jointly; check the
@@ -134,7 +137,10 @@ mod tests {
         // With x normalized to (0, 1], the fitted effective slope
         // a/ln(b) should equal the generating 0.5/ln(6).
         let xs: Vec<f64> = (1..=50).map(|i| i as f64 / 50.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 0.5 * x.ln() / 6.0f64.ln() + 1.0).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|&x| 0.5 * x.ln() / 6.0f64.ln() + 1.0)
+            .collect();
         let fit = fit_log_curve(&xs, &ys).unwrap();
         let eff = fit.a / fit.b.ln();
         let want = 0.5 / 6.0f64.ln();

@@ -30,11 +30,7 @@ impl Default for NelderMeadOptions {
 
 /// Minimizes `f` from `x0` with the Nelder–Mead simplex. Returns
 /// `(x*, f(x*))`.
-pub fn nelder_mead_min<F>(
-    mut f: F,
-    x0: &[f64],
-    opts: NelderMeadOptions,
-) -> Result<(Vec<f64>, f64)>
+pub fn nelder_mead_min<F>(mut f: F, x0: &[f64], opts: NelderMeadOptions) -> Result<(Vec<f64>, f64)>
 where
     F: FnMut(&[f64]) -> f64,
 {

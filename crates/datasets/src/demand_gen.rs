@@ -89,14 +89,12 @@ fn sample_cv(xs: &[f64]) -> f64 {
 /// ```
 ///
 /// Panics if `n < 2`, `target_cv <= 0`, or `total <= 0`.
-pub fn calibrated_demands<R: Rng>(
-    n: usize,
-    target_cv: f64,
-    total: f64,
-    rng: &mut R,
-) -> Vec<f64> {
+pub fn calibrated_demands<R: Rng>(n: usize, target_cv: f64, total: f64, rng: &mut R) -> Vec<f64> {
     assert!(n >= 2, "need at least two flows");
-    assert!(target_cv > 0.0 && target_cv.is_finite(), "CV must be positive");
+    assert!(
+        target_cv > 0.0 && target_cv.is_finite(),
+        "CV must be positive"
+    );
     assert!(total > 0.0 && total.is_finite(), "total must be positive");
 
     // Step 1: stratified lognormal quantiles with the asymptotic sigma.

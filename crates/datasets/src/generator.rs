@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use transit_core::flow::{Region, TrafficFlow};
 use transit_geo::{GeoIpDb, GeoRelation};
-use transit_topology::{eu_isp, internet2, cdn_origins};
+use transit_topology::{cdn_origins, eu_isp, internet2};
 
 use crate::demand_gen::{calibrated_demands, inverse_normal_cdf};
 use crate::spec::Network;
@@ -97,7 +97,9 @@ pub fn generate(network: Network, n_flows: usize, seed: u64) -> Dataset {
     // that §4.2.2's profit-weighted bundling exploits. The weighted
     // distance CDF matches the target regardless of this order.
     let total: f64 = demands.iter().sum();
-    let sigma = (1.0 + targets.cv_distance * targets.cv_distance).ln().sqrt();
+    let sigma = (1.0 + targets.cv_distance * targets.cv_distance)
+        .ln()
+        .sqrt();
     let mu = targets.wavg_distance_miles.ln() - sigma * sigma / 2.0;
     let mut order: Vec<usize> = (0..n_flows).collect();
     order.sort_by(|&i, &j| {
@@ -144,7 +146,10 @@ pub fn generate(network: Network, n_flows: usize, seed: u64) -> Dataset {
 
     Dataset {
         network,
-        flows: flows.into_iter().map(|f| f.expect("all flows assigned")).collect(),
+        flows: flows
+            .into_iter()
+            .map(|f| f.expect("all flows assigned"))
+            .collect(),
         cities,
         endpoints,
     }
@@ -232,11 +237,7 @@ fn replica_endpoint_addrs(src_base: u32, dst_base: u32, flow_idx: u32) -> (Ipv4A
 
 /// Snaps a target distance to one of the 3 nearest candidates (random
 /// among them so repeated targets spread over geography).
-fn nearest_candidate<'a, R: Rng>(
-    pool: &'a [Candidate],
-    target: f64,
-    rng: &mut R,
-) -> &'a Candidate {
+fn nearest_candidate<'a, R: Rng>(pool: &'a [Candidate], target: f64, rng: &mut R) -> &'a Candidate {
     let idx = pool
         .binary_search_by(|c| {
             c.distance_miles
@@ -517,9 +518,7 @@ mod tests {
         let n = ds.flows.len();
         let rank = |key: fn(&TrafficFlow) -> f64| -> Vec<usize> {
             let mut idx: Vec<usize> = (0..n).collect();
-            idx.sort_by(|&a, &b| {
-                key(&ds.flows[a]).partial_cmp(&key(&ds.flows[b])).unwrap()
-            });
+            idx.sort_by(|&a, &b| key(&ds.flows[a]).partial_cmp(&key(&ds.flows[b])).unwrap());
             let mut r = vec![0usize; n];
             for (pos, &i) in idx.iter().enumerate() {
                 r[i] = pos;
@@ -549,11 +548,7 @@ mod tests {
     #[test]
     fn cdn_flows_are_mostly_long_haul() {
         let ds = generate(Network::Cdn, 500, 42);
-        let long = ds
-            .flows
-            .iter()
-            .filter(|f| f.distance_miles > 500.0)
-            .count();
+        let long = ds.flows.iter().filter(|f| f.distance_miles > 500.0).count();
         assert!(long as f64 / 500.0 > 0.6, "CDN is long-haul dominated");
     }
 

@@ -185,9 +185,15 @@ mod tests {
         let cases = [
             ("", "missing header"),
             ("bogus,header\n", "unexpected header"),
-            ("flow_id,demand_mbps,distance_miles\n0,1\n", "expected 3 fields"),
+            (
+                "flow_id,demand_mbps,distance_miles\n0,1\n",
+                "expected 3 fields",
+            ),
             ("flow_id,demand_mbps,distance_miles\nx,1,1\n", "bad flow_id"),
-            ("flow_id,demand_mbps,distance_miles\n0,zzz,1\n", "bad demand"),
+            (
+                "flow_id,demand_mbps,distance_miles\n0,zzz,1\n",
+                "bad demand",
+            ),
             (
                 "flow_id,demand_mbps,distance_miles,region\n0,1,1,mars\n",
                 "bad region",

@@ -280,9 +280,8 @@ mod tests {
                 ingest_workers: 1,
             },
         );
-        let total = |o: &PipelineOutput| -> f64 {
-            o.measured_flows.iter().map(|f| f.demand_mbps).sum()
-        };
+        let total =
+            |o: &PipelineOutput| -> f64 { o.measured_flows.iter().map(|f| f.demand_mbps).sum() };
         assert!(
             (total(&one) - total(&three)).abs() / total(&one) < 1e-9,
             "router count must not change measured volume"
@@ -326,7 +325,10 @@ mod tests {
                     ..PipelineConfig::default()
                 },
             );
-            assert_eq!(serial.measured_flows, sharded.measured_flows, "{shards} shards");
+            assert_eq!(
+                serial.measured_flows, sharded.measured_flows,
+                "{shards} shards"
+            );
             assert_eq!(serial.datagrams, sharded.datagrams);
             assert_eq!(serial.offered_bytes, sharded.offered_bytes);
         }

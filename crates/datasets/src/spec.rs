@@ -144,8 +144,7 @@ mod tests {
 
     #[test]
     fn stats_of_uniform_flows() {
-        let flows: Vec<TrafficFlow> =
-            (0..10).map(|i| TrafficFlow::new(i, 100.0, 50.0)).collect();
+        let flows: Vec<TrafficFlow> = (0..10).map(|i| TrafficFlow::new(i, 100.0, 50.0)).collect();
         let s = DatasetStats::of(&flows);
         assert_eq!(s.n_flows, 10);
         assert!((s.wavg_distance_miles - 50.0).abs() < 1e-12);

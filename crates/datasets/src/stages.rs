@@ -364,7 +364,9 @@ impl Stage for CollectStage {
         let (wire, _offered) = decode_wire(inputs[0].bytes())?;
         let (measured, datagrams, records) =
             collect_wire(&wire, self.ingest_shards, self.ingest_workers);
-        Ok(Artifact::new(encode_measured(&measured, datagrams, records)))
+        Ok(Artifact::new(encode_measured(
+            &measured, datagrams, records,
+        )))
     }
 }
 
@@ -507,10 +509,8 @@ mod tests {
 
     #[test]
     fn staged_pipeline_resumes_warm_from_a_store() {
-        let dir = std::env::temp_dir().join(format!(
-            "transit-datasets-stages-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("transit-datasets-stages-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
         let config = PipelineConfig::default();
@@ -521,10 +521,16 @@ mod tests {
             (graph, join)
         };
         let (graph, join) = build();
-        let cold = Executor::new().with_store(store.clone()).run(&graph).unwrap();
+        let cold = Executor::new()
+            .with_store(store.clone())
+            .run(&graph)
+            .unwrap();
         let (graph2, join2) = build();
         let warm = Executor::new().with_store(store).run(&graph2).unwrap();
-        assert!(warm.reports.iter().all(|r| r.hit), "warm run hits all stages");
+        assert!(
+            warm.reports.iter().all(|r| r.hit),
+            "warm run hits all stages"
+        );
         assert_eq!(
             cold.artifact(join).bytes(),
             warm.artifact(join2).bytes(),

@@ -38,7 +38,12 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--chart" => chart = true,
-            "--quick" => config = ExperimentConfig { n_flows: ExperimentConfig::quick().n_flows, ..config },
+            "--quick" => {
+                config = ExperimentConfig {
+                    n_flows: ExperimentConfig::quick().n_flows,
+                    ..config
+                }
+            }
             "--flows" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => config.n_flows = n,
                 None => {
@@ -71,7 +76,11 @@ fn main() -> ExitCode {
             "--only" => match it.next() {
                 Some(id) if target.is_none() => target = Some(id.clone()),
                 Some(id) => {
-                    eprintln!("--only {id:?} conflicts with target {:?}\n{}", target.unwrap(), usage());
+                    eprintln!(
+                        "--only {id:?} conflicts with target {:?}\n{}",
+                        target.unwrap(),
+                        usage()
+                    );
                     return ExitCode::FAILURE;
                 }
                 None => {
@@ -89,7 +98,10 @@ fn main() -> ExitCode {
             "--serve-metrics" => match it.next() {
                 Some(addr) => config.serve_metrics = Some(addr.clone()),
                 None => {
-                    eprintln!("--serve-metrics needs an address (e.g. 127.0.0.1:9464)\n{}", usage());
+                    eprintln!(
+                        "--serve-metrics needs an address (e.g. 127.0.0.1:9464)\n{}",
+                        usage()
+                    );
                     return ExitCode::FAILURE;
                 }
             },
@@ -138,7 +150,10 @@ fn main() -> ExitCode {
     let _metrics_server = match &config.serve_metrics {
         Some(addr) => match transit_obs::serve_metrics(addr) {
             Ok(server) => {
-                eprintln!("serving /metrics /spans /healthz on http://{}", server.addr());
+                eprintln!(
+                    "serving /metrics /spans /healthz on http://{}",
+                    server.addr()
+                );
                 Some(server)
             }
             Err(e) => {
@@ -202,7 +217,10 @@ fn main() -> ExitCode {
             println!("{}", result.render_text());
             if chart {
                 for f in &result.figures {
-                    println!("{}", transit_experiments::output::render_ascii_chart(f, 60, 14));
+                    println!(
+                        "{}",
+                        transit_experiments::output::render_ascii_chart(f, 60, 14)
+                    );
                 }
             }
         }
@@ -216,7 +234,10 @@ fn main() -> ExitCode {
     if let Some(profile_dir) = &config.profile {
         let dir = std::path::Path::new(profile_dir);
         match transit_experiments::profile::write_profile(dir, &config, &profiled_runs) {
-            Ok(path) => println!("wrote profile sidecars to {}", path.parent().unwrap().display()),
+            Ok(path) => println!(
+                "wrote profile sidecars to {}",
+                path.parent().unwrap().display()
+            ),
             Err(e) => {
                 eprintln!("failed to write profile sidecars: {e}");
                 return ExitCode::FAILURE;

@@ -331,7 +331,12 @@ pub fn render_ascii_chart(f: &Figure, width: usize, height: usize) -> String {
     out.push_str(&format!(
         "{:>9}{:<width$}\n",
         " ",
-        format!("{} {} .. {}", f.x_label, trim_num(xs[0]), trim_num(xs[xs.len() - 1])),
+        format!(
+            "{} {} .. {}",
+            f.x_label,
+            trim_num(xs[0]),
+            trim_num(xs[xs.len() - 1])
+        ),
         width = width
     ));
     let legend: Vec<String> = f

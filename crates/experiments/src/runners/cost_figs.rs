@@ -209,10 +209,8 @@ mod tests {
         for theta in [0.1, 0.2, 0.3] {
             let lin_cost = LinearCost::new(theta).unwrap();
             let con_cost = ConcaveCost::paper_fit(theta).unwrap();
-            let lin =
-                crate::markets::fit_market(DemandFamily::Ced, &flows, &lin_cost, &c).unwrap();
-            let con =
-                crate::markets::fit_market(DemandFamily::Ced, &flows, &con_cost, &c).unwrap();
+            let lin = crate::markets::fit_market(DemandFamily::Ced, &flows, &lin_cost, &c).unwrap();
+            let con = crate::markets::fit_market(DemandFamily::Ced, &flows, &con_cost, &c).unwrap();
             let lin_headroom = lin.max_profit() - lin.original_profit();
             let con_headroom = con.max_profit() - con.original_profit();
             assert!(

@@ -144,7 +144,11 @@ fn compute_ext2() -> Result<ExperimentResult> {
     t.rows.push(vec![
         "Tiered".into(),
         "(absent)".into(),
-        format!("({}, {})", trim_num(mono.prices_a[0]), trim_num(mono.prices_a[1])),
+        format!(
+            "({}, {})",
+            trim_num(mono.prices_a[0]),
+            trim_num(mono.prices_a[1])
+        ),
         "-".into(),
         format!("{:.0}", mono.profit_a),
         "-".into(),
@@ -267,7 +271,10 @@ mod tests {
         // Row 0: blended/blended; row 1: tiered/blended; row 2: tiered/tiered.
         assert!(profit(1, 4) > profit(0, 4), "mover gains");
         assert!(profit(1, 5) < profit(0, 5), "blended rival loses");
-        assert!(profit(2, 4) > profit(0, 4), "both tiering beats both blending");
+        assert!(
+            profit(2, 4) > profit(0, 4),
+            "both tiering beats both blending"
+        );
         // Monopoly row dominates all duopoly profits for A.
         assert!(profit(3, 4) > profit(2, 4));
     }
@@ -438,7 +445,11 @@ pub fn summary(req: &mut Requests<'_>, config: &ExperimentConfig) -> Assembler {
     let networks = [Network::EuIsp, Network::Internet2, Network::Cdn];
     let grid: Vec<(Network, DemandFamily)> = networks
         .into_iter()
-        .flat_map(|network| DemandFamily::ALL.into_iter().map(move |family| (network, family)))
+        .flat_map(|network| {
+            DemandFamily::ALL
+                .into_iter()
+                .map(move |family| (network, family))
+        })
         .collect();
     let datasets: Vec<_> = networks
         .into_iter()
@@ -506,11 +517,7 @@ mod welfare_summary_tests {
             .unwrap();
         for s in &r.figures[0].series {
             for w in s.y.windows(2) {
-                assert!(
-                    w[1] >= w[0] - 1e-6,
-                    "{} decreased: {w:?}",
-                    s.label
-                );
+                assert!(w[1] >= w[0] - 1e-6, "{} decreased: {w:?}", s.label);
             }
             assert!((s.y[0] - 1.0).abs() < 1e-9, "normalized to 1 tier");
         }
@@ -547,10 +554,9 @@ mod welfare_identity_tests {
         let c = ExperimentConfig::quick();
         let flows = flows_for(Network::EuIsp, &c);
         let cost = LinearCost::new(c.theta).unwrap();
-        let market = CedMarket::new(
-            fit_ced(&flows, &cost, CedAlpha::new(c.alpha).unwrap(), c.p0).unwrap(),
-        )
-        .unwrap();
+        let market =
+            CedMarket::new(fit_ced(&flows, &cost, CedAlpha::new(c.alpha).unwrap(), c.p0).unwrap())
+                .unwrap();
         let expected = c.alpha / (c.alpha - 1.0);
         for b in [1usize, 2, 4] {
             let bundling = StrategyKind::Optimal.build().bundle(&market, b).unwrap();

@@ -24,8 +24,7 @@ pub fn fig1() -> Result<ExperimentResult> {
     );
     r.tables.push(TableOut {
         id: "fig1".into(),
-        title: "Blended vs tiered (paper: P0=$1.2, profit $2.08→$2.25, surplus $4.17→$4.50)"
-            .into(),
+        title: "Blended vs tiered (paper: P0=$1.2, profit $2.08→$2.25, surplus $4.17→$4.50)".into(),
         headers: vec![
             "regime".into(),
             "price(dst1)".into(),
@@ -78,8 +77,7 @@ pub fn fig2() -> Result<ExperimentResult> {
     ));
     r.tables.push(TableOut {
         id: "fig2".into(),
-        title: "Bypass classification vs direct-link cost (R=$20, c_ISP=$4, M=0.3, A=$0.5)"
-            .into(),
+        title: "Bypass classification vs direct-link cost (R=$20, c_ISP=$4, M=0.3, A=$0.5)".into(),
         headers: vec![
             "c_direct".into(),
             "outcome".into(),
@@ -277,12 +275,11 @@ mod tests {
         let r = fig4().unwrap();
         let f = &r.figures[0];
         let argmax = |s: &Series| {
-            let (i, _) = s
-                .y
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .unwrap();
+            let (i, _) =
+                s.y.iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                    .unwrap();
             f.x[i]
         };
         let c1 = f.series_named("c=$1").unwrap();

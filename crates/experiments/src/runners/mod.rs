@@ -22,8 +22,8 @@ use crate::stages::{execute, result_stage, stage_error, stage_reports, Assembler
 
 /// Every experiment id, in paper order.
 pub const ALL_IDS: [&str; 14] = [
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "fig13", "fig17",
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "fig13", "fig17",
 ];
 
 /// Sensitivity experiments (slower; separated so `all` can run them

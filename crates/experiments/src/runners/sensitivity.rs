@@ -29,16 +29,20 @@ fn envelope(curves: &[Vec<f64>], max: bool) -> Vec<f64> {
     let n = curves[0].len();
     (0..n)
         .map(|i| {
-            curves
-                .iter()
-                .map(|c| c[i])
-                .fold(if max { f64::NEG_INFINITY } else { f64::INFINITY }, |a, b| {
+            curves.iter().map(|c| c[i]).fold(
+                if max {
+                    f64::NEG_INFINITY
+                } else {
+                    f64::INFINITY
+                },
+                |a, b| {
                     if max {
                         a.max(b)
                     } else {
                         a.min(b)
                     }
-                })
+                },
+            )
         })
         .collect()
 }
@@ -252,8 +256,12 @@ mod tests {
         let r = run("fig16");
         let f = &r.figures[0];
         for network in Network::ALL {
-            let min = f.series_named(&format!("{} (min)", network.label())).unwrap();
-            let max = f.series_named(&format!("{} (max)", network.label())).unwrap();
+            let min = f
+                .series_named(&format!("{} (min)", network.label()))
+                .unwrap();
+            let max = f
+                .series_named(&format!("{} (max)", network.label()))
+                .unwrap();
             for (lo, hi) in min.y.iter().zip(&max.y) {
                 assert!(hi >= lo);
             }

@@ -259,7 +259,12 @@ impl StrategySpec {
 /// Shared param entries for market-fitting stages: the demand family
 /// and its calibration knobs, with `s0` included only where it can
 /// affect output (logit demand).
-fn market_params(family: DemandFamily, alpha: f64, p0: f64, s0: f64) -> Vec<(&'static str, Content)> {
+fn market_params(
+    family: DemandFamily,
+    alpha: f64,
+    p0: f64,
+    s0: f64,
+) -> Vec<(&'static str, Content)> {
     let mut params = vec![
         ("family", Content::Str(family.label().to_string())),
         ("alpha", Content::F64(alpha)),

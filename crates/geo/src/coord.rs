@@ -22,7 +22,9 @@ pub struct Coord {
 impl Coord {
     /// Builds a coordinate; returns `None` if out of range or non-finite.
     pub fn new(lat: f64, lon: f64) -> Option<Coord> {
-        if lat.is_finite() && lon.is_finite() && (-90.0..=90.0).contains(&lat)
+        if lat.is_finite()
+            && lon.is_finite()
+            && (-90.0..=90.0).contains(&lat)
             && (-180.0..=180.0).contains(&lon)
         {
             Some(Coord { lat, lon })
@@ -37,8 +39,7 @@ impl Coord {
         let lat2 = other.lat.to_radians();
         let dlat = (other.lat - self.lat).to_radians();
         let dlon = (other.lon - self.lon).to_radians();
-        let a = (dlat / 2.0).sin().powi(2)
-            + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
         // Clamp guards the asin domain against rounding at antipodes.
         let c = 2.0 * a.sqrt().min(1.0).asin();
         EARTH_RADIUS_MILES * c

@@ -84,9 +84,7 @@ impl GeoIpDb {
             .collect();
         let mut quotas: Vec<usize> = cities
             .iter()
-            .map(|c| {
-                ((c.population_m / total_pop) * usable_blocks.len() as f64).floor() as usize
-            })
+            .map(|c| ((c.population_m / total_pop) * usable_blocks.len() as f64).floor() as usize)
             .map(|q| q.max(1))
             .collect();
         // Trim any overshoot from the largest quota.

@@ -150,8 +150,7 @@ impl Duopoly {
                 self.profit_b(rival, own)
             }
         };
-        let hi = 4.0 * self.valuations[0].max(self.valuations[1])
-            + costs[0].max(costs[1]);
+        let hi = 4.0 * self.valuations[0].max(self.valuations[1]) + costs[0].max(costs[1]);
         // Blended profit over two segments can be *bimodal* (serve both
         // vs price the cheap segment out and milk the expensive one), so
         // a plain golden section may hop between local maxima across

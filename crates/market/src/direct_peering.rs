@@ -87,10 +87,7 @@ impl DirectPeeringScenario {
 /// Sweeps the direct-link cost over a range, classifying each point —
 /// the data behind the Fig. 2 narrative (and the `direct_peering`
 /// example).
-pub fn sweep_direct_cost(
-    base: DirectPeeringScenario,
-    costs: &[f64],
-) -> Vec<PeeringEvaluation> {
+pub fn sweep_direct_cost(base: DirectPeeringScenario, costs: &[f64]) -> Vec<PeeringEvaluation> {
     costs
         .iter()
         .map(|&c| {
@@ -174,8 +171,12 @@ mod tests {
         assert_eq!(kinds.last(), Some(&PeeringOutcome::StayWithTransit));
         assert!(kinds.contains(&PeeringOutcome::MarketFailure));
         // Monotone regime boundaries.
-        let first_failure = kinds.iter().position(|k| *k == PeeringOutcome::MarketFailure);
-        let first_stay = kinds.iter().position(|k| *k == PeeringOutcome::StayWithTransit);
+        let first_failure = kinds
+            .iter()
+            .position(|k| *k == PeeringOutcome::MarketFailure);
+        let first_stay = kinds
+            .iter()
+            .position(|k| *k == PeeringOutcome::StayWithTransit);
         assert!(first_failure < first_stay);
     }
 

@@ -40,8 +40,13 @@ pub fn ced_welfare_at_prices(market: &CedMarket, prices: &[f64]) -> Result<Welfa
 /// Welfare of a logit market at explicit per-flow prices.
 pub fn logit_welfare_at_prices(market: &LogitMarket, prices: &[f64]) -> Result<WelfareReport> {
     let fit = market.fit();
-    let profit =
-        logit::total_profit(&fit.valuations, prices, &fit.costs, fit.alpha, fit.consumers)?;
+    let profit = logit::total_profit(
+        &fit.valuations,
+        prices,
+        &fit.costs,
+        fit.alpha,
+        fit.consumers,
+    )?;
     let consumer_surplus =
         logit::consumer_surplus(&fit.valuations, prices, fit.alpha, fit.consumers)?;
     Ok(WelfareReport {

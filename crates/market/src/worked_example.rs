@@ -139,8 +139,14 @@ mod tests {
         let ex = evaluate(ExampleParams::fig1()).unwrap();
         assert!((ex.tiered.prices[0] - 2.0).abs() < 1e-12, "P1 = $2.0");
         assert!((ex.tiered.prices[1] - 1.0).abs() < 1e-12, "P2 = $1.0");
-        assert!((ex.tiered.profit - 2.25).abs() < 1e-12, "tiered profit $2.25");
-        assert!((ex.tiered.surplus - 4.5).abs() < 1e-12, "tiered surplus $4.50");
+        assert!(
+            (ex.tiered.profit - 2.25).abs() < 1e-12,
+            "tiered profit $2.25"
+        );
+        assert!(
+            (ex.tiered.surplus - 4.5).abs() < 1e-12,
+            "tiered surplus $4.50"
+        );
     }
 
     #[test]

@@ -505,7 +505,13 @@ fn decode_chunk<D: AsRef<[u8]>>(
             let hash = flow_hash(&key);
             let fold = ((hash % n_shards as u64) as usize) % n_fold;
             let buffer = &mut buffers[fold];
-            buffer.push((hash, key, router, octets as u64 * rate, packets as u64 * rate));
+            buffer.push((
+                hash,
+                key,
+                router,
+                octets as u64 * rate,
+                packets as u64 * rate,
+            ));
             if buffer.len() >= FOLD_BATCH_TUPLES {
                 let full = std::mem::replace(buffer, Vec::with_capacity(FOLD_BATCH_TUPLES));
                 // A send only fails if the fold worker died, which a
@@ -562,7 +568,9 @@ impl CollectorStats {
             records: self.records.saturating_sub(baseline.records),
             decode_errors: self.decode_errors.saturating_sub(baseline.decode_errors),
             lost_records: self.lost_records.saturating_sub(baseline.lost_records),
-            sharded_records: self.sharded_records.saturating_sub(baseline.sharded_records),
+            sharded_records: self
+                .sharded_records
+                .saturating_sub(baseline.sharded_records),
         }
     }
 }

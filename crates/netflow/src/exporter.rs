@@ -217,7 +217,11 @@ impl<S: Sampler> Exporter<S> {
 
     /// Frames loose records into export datagrams of at most
     /// [`MAX_RECORDS_PER_PACKET`], advancing the flow sequence.
-    pub(crate) fn frame_records(&mut self, records: Vec<V5Record>, unix_secs: u32) -> Vec<V5Packet> {
+    pub(crate) fn frame_records(
+        &mut self,
+        records: Vec<V5Record>,
+        unix_secs: u32,
+    ) -> Vec<V5Packet> {
         let mut packets = Vec::new();
         for chunk in records.chunks(MAX_RECORDS_PER_PACKET) {
             let records: Vec<V5Record> = chunk.to_vec();
@@ -488,7 +492,10 @@ mod batch_tests {
         b.observe_packets(key(), 3, 100);
         assert_eq!(
             a.flush(9)[0].header.flow_sequence,
-            V5Packet::decode(&b.flush_wire(9)[0]).unwrap().header.flow_sequence
+            V5Packet::decode(&b.flush_wire(9)[0])
+                .unwrap()
+                .header
+                .flow_sequence
         );
     }
 

@@ -96,8 +96,20 @@ mod tests {
         };
         let mut variants = vec![base];
         for (src, dst, sp, dp, proto) in [
-            (Ipv4Addr::new(1, 2, 3, 5), Ipv4Addr::new(0, 0, 0, 0), 0, 0, 0),
-            (Ipv4Addr::new(1, 2, 3, 3), Ipv4Addr::new(255, 255, 255, 255), 65535, 65535, 255),
+            (
+                Ipv4Addr::new(1, 2, 3, 5),
+                Ipv4Addr::new(0, 0, 0, 0),
+                0,
+                0,
+                0,
+            ),
+            (
+                Ipv4Addr::new(1, 2, 3, 3),
+                Ipv4Addr::new(255, 255, 255, 255),
+                65535,
+                65535,
+                255,
+            ),
             (base.src_addr, Ipv4Addr::new(5, 6, 7, 9), 0, 0, 0),
             (base.src_addr, base.dst_addr, 101, 0, 0),
             (base.src_addr, base.dst_addr, 100, 201, 0),
@@ -113,11 +125,7 @@ mod tests {
         }
         for a in &variants {
             for b in &variants {
-                assert_eq!(
-                    a.cmp(b),
-                    a.sort_key().cmp(&b.sort_key()),
-                    "{a:?} vs {b:?}"
-                );
+                assert_eq!(a.cmp(b), a.sort_key().cmp(&b.sort_key()), "{a:?} vs {b:?}");
             }
         }
     }

@@ -31,6 +31,6 @@ pub use fasthash::{FastHashMap, FastHasher};
 pub use key::{FlowKey, MeasuredFlow};
 pub use matrix::{DemandEntry, TrafficMatrix};
 pub use record::{DecodeError, V5Header, V5Packet, V5PacketView, V5Record};
-pub use table::{flow_hash, FlowTable};
 pub use sampler::{HashSampler, Sampler, SystematicSampler};
+pub use table::{flow_hash, FlowTable};
 pub use timed::{TimedExporter, TimeoutConfig};

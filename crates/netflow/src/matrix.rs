@@ -84,7 +84,10 @@ impl TrafficMatrix {
     /// Adds raw bytes to a pair (for synthetic construction).
     pub fn add(&mut self, src: Ipv4Addr, dst: Ipv4Addr, bytes: u64) {
         let key = pack((src, dst));
-        match self.entries.binary_search_by_key(&key, |&(pair, _)| pack(pair)) {
+        match self
+            .entries
+            .binary_search_by_key(&key, |&(pair, _)| pack(pair))
+        {
             Ok(i) => self.entries[i].1 += bytes,
             Err(i) => self.entries.insert(i, ((src, dst), bytes)),
         }
@@ -120,12 +123,14 @@ impl TrafficMatrix {
             "duration must be positive"
         );
         // Entries are maintained sorted by (src, dst); emit in place.
-        self.entries.iter().map(move |&((src, dst), bytes)| DemandEntry {
-            src,
-            dst,
-            bytes,
-            mbps: bytes as f64 * 8.0 / duration_secs / 1e6,
-        })
+        self.entries
+            .iter()
+            .map(move |&((src, dst), bytes)| DemandEntry {
+                src,
+                dst,
+                bytes,
+                mbps: bytes as f64 * 8.0 / duration_secs / 1e6,
+            })
     }
 
     /// Aggregate demand in Gbps over a window of `duration_secs`

@@ -547,7 +547,9 @@ mod tests {
     #[test]
     fn garbage_bytes_never_panic() {
         // Fuzz-ish: decode every prefix of a pseudo-random buffer.
-        let data: Vec<u8> = (0..512u32).map(|i| (i.wrapping_mul(197) >> 3) as u8).collect();
+        let data: Vec<u8> = (0..512u32)
+            .map(|i| (i.wrapping_mul(197) >> 3) as u8)
+            .collect();
         for len in 0..data.len() {
             let _ = V5Packet::decode(&data[..len]);
         }

@@ -205,7 +205,9 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = HashSampler::new(4, 1);
         let mut b = HashSampler::new(4, 2);
-        let disagreements = (0..1000).filter(|&i| a.sample(&key(i)) != b.sample(&key(i))).count();
+        let disagreements = (0..1000)
+            .filter(|&i| a.sample(&key(i)) != b.sample(&key(i)))
+            .count();
         assert!(disagreements > 0);
     }
 }
@@ -244,7 +246,7 @@ mod sample_many_tests {
     fn systematic_sample_many_preserves_phase() {
         let mut a = SystematicSampler::new(10);
         a.sample_many(&key(), 15); // counter now at phase 5
-        // Next 5 packets complete the window: exactly one sampled.
+                                   // Next 5 packets complete the window: exactly one sampled.
         assert_eq!(a.sample_many(&key(), 5), 1);
     }
 

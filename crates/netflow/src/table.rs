@@ -44,9 +44,8 @@ const FIRST_CAPACITY: usize = 64;
 /// a stream re-partitions but never splits a flow.
 pub fn flow_hash(key: &FlowKey) -> u64 {
     let hi = (u64::from(u32::from(key.src_addr)) << 32) | u64::from(u32::from(key.dst_addr));
-    let lo = (u64::from(key.src_port) << 24)
-        | (u64::from(key.dst_port) << 8)
-        | u64::from(key.protocol);
+    let lo =
+        (u64::from(key.src_port) << 24) | (u64::from(key.dst_port) << 8) | u64::from(key.protocol);
     let mut z = hi.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ lo;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

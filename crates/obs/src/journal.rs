@@ -179,7 +179,10 @@ fn process_epoch() -> Instant {
 }
 
 fn now_micros() -> u64 {
-    process_epoch().elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+    process_epoch()
+        .elapsed()
+        .as_micros()
+        .min(u128::from(u64::MAX)) as u64
 }
 
 struct BufInner {
@@ -454,8 +457,8 @@ mod tests {
         span_begin("journal_test.outer");
         counter_sample("journal_test.counter", 7);
         phase("journal_test.phase"); // drains eagerly
-        // The phase marker drained everything buffered so far: the file
-        // is already usable even though the "run" has not finished.
+                                     // The phase marker drained everything buffered so far: the file
+                                     // is already usable even though the "run" has not finished.
         let mid = read_events(&path);
         assert_eq!(mid[0]["schema"], EVENTS_SCHEMA);
         assert!(mid.len() >= 4, "header + 3 events, got {}", mid.len());
@@ -526,7 +529,12 @@ mod tests {
         assert_eq!(v["ph"], "C");
         assert_eq!(v["name"], "a \"quoted\"\nname\\x");
         assert_eq!(v["value"], 99i64);
-        for kind in [EventKind::SpanBegin, EventKind::SpanEnd, EventKind::Counter, EventKind::Phase] {
+        for kind in [
+            EventKind::SpanBegin,
+            EventKind::SpanEnd,
+            EventKind::Counter,
+            EventKind::Phase,
+        ] {
             assert_eq!(EventKind::from_code(kind.code()), Some(kind));
         }
     }

@@ -131,7 +131,10 @@ impl serde::Serialize for RunManifest {
                 ),
             ),
             ("spans".into(), tree_to_content(&self.spans)),
-            ("metrics".into(), serde::Serialize::to_content(&self.metrics)),
+            (
+                "metrics".into(),
+                serde::Serialize::to_content(&self.metrics),
+            ),
             ("stages".into(), self.stages.clone()),
         ])
     }
@@ -186,10 +189,7 @@ mod tests {
 
     fn sample() -> RunManifest {
         RunManifest::capture(
-            serde::Content::Map(vec![(
-                "n_flows".into(),
-                serde::Content::U64(120),
-            )]),
+            serde::Content::Map(vec![("n_flows".into(), serde::Content::U64(120))]),
             42,
             8,
             vec!["fig8".to_string()],
@@ -217,11 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn write_to_emits_manifest_and_prometheus(){
-        let dir = std::env::temp_dir().join(format!(
-            "transit_obs_manifest_{}",
-            std::process::id()
-        ));
+    fn write_to_emits_manifest_and_prometheus() {
+        let dir = std::env::temp_dir().join(format!("transit_obs_manifest_{}", std::process::id()));
         let path = sample().write_to(&dir).unwrap();
         assert!(path.ends_with("run_manifest.json"));
         assert!(dir.join("metrics.prom").exists());

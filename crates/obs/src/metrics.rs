@@ -298,7 +298,10 @@ pub fn escape_label_value(text: &str) -> String {
 /// Prefer the `counter!` macro, which caches this lookup per call site;
 /// call this directly only for dynamic names (e.g. per-strategy).
 pub fn counter(name: &str) -> &'static Counter {
-    let mut map = registry().counters.lock().expect("metrics registry poisoned");
+    let mut map = registry()
+        .counters
+        .lock()
+        .expect("metrics registry poisoned");
     if let Some(c) = map.get(name) {
         return c;
     }
@@ -689,9 +692,8 @@ mod tests {
             if let Some(name) = line.split_whitespace().next() {
                 if !line.starts_with('#') {
                     assert!(
-                        name.chars()
-                            .all(|c| c.is_ascii_alphanumeric()
-                                || ['_', ':', '{', '}', '=', '"', '+', '.'].contains(&c)),
+                        name.chars().all(|c| c.is_ascii_alphanumeric()
+                            || ['_', ':', '{', '}', '=', '"', '+', '.'].contains(&c)),
                         "unsanitized line: {line}"
                     );
                 }
@@ -775,7 +777,10 @@ mod tests {
 
     #[test]
     fn prometheus_output_has_quantile_gauges_and_help() {
-        describe("metrics_test.q_prom", "latency in micros\nsecond line \\ end");
+        describe(
+            "metrics_test.q_prom",
+            "latency in micros\nsecond line \\ end",
+        );
         let h = histogram("metrics_test.q_prom");
         for v in [1u64, 2, 3, 4] {
             h.record(v);
@@ -804,7 +809,10 @@ mod tests {
         describe("metrics_test.first_help", "first");
         describe("metrics_test.first_help", "second");
         assert_eq!(
-            snapshot().help.get("metrics_test.first_help").map(String::as_str),
+            snapshot()
+                .help
+                .get("metrics_test.first_help")
+                .map(String::as_str),
             Some("first")
         );
     }

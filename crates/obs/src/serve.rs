@@ -120,7 +120,12 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
     Some(target.split('?').next().unwrap_or(target).to_string())
 }
 
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> std::io::Result<()> {
+fn respond(
+    stream: &mut TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -214,11 +219,8 @@ mod tests {
         );
 
         {
-            let _span = crate::span::Span::enter(
-                crate::Level::Info,
-                "serve_test.span",
-                String::new,
-            );
+            let _span =
+                crate::span::Span::enter(crate::Level::Info, "serve_test.span", String::new);
         }
         let (status, body) = http_get(addr, "/spans");
         assert!(status.contains("200"), "{status}");

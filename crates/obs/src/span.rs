@@ -61,7 +61,12 @@ impl SpanNode {
 
     /// Sum of `count` over this node and every descendant.
     pub fn total_count(&self) -> u64 {
-        self.count + self.children.values().map(SpanNode::total_count).sum::<u64>()
+        self.count
+            + self
+                .children
+                .values()
+                .map(SpanNode::total_count)
+                .sum::<u64>()
     }
 
     /// Looks up a descendant by path segments.

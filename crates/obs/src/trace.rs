@@ -55,7 +55,10 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// `name` fields (`value` required for counters).
 pub fn read_events(path: &Path) -> io::Result<Vec<Event>> {
     let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines
         .next()
         .ok_or_else(|| invalid(format!("{}: empty events file", path.display())))?;
@@ -159,7 +162,13 @@ pub fn events_to_chrome_trace(events: &[Event]) -> (String, TraceStats) {
                     .is_some();
                 if matched {
                     stats.ends += 1;
-                    out.push(trace_event(&event.name, "E", event.ts_micros, event.tid, vec![]));
+                    out.push(trace_event(
+                        &event.name,
+                        "E",
+                        event.ts_micros,
+                        event.tid,
+                        vec![],
+                    ));
                 } else {
                     stats.unmatched_ends += 1;
                 }
@@ -206,7 +215,11 @@ pub fn events_to_chrome_trace(events: &[Event]) -> (String, TraceStats) {
         .collect::<std::collections::BTreeSet<_>>()
         .len();
     // Thread-name metadata rows.
-    for tid in events.iter().map(|e| e.tid).collect::<std::collections::BTreeSet<_>>() {
+    for tid in events
+        .iter()
+        .map(|e| e.tid)
+        .collect::<std::collections::BTreeSet<_>>()
+    {
         out.push(trace_event(
             "thread_name",
             "M",

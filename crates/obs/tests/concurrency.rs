@@ -19,7 +19,11 @@ fn concurrent_counter_increments_are_all_counted() {
         }
     });
     let after = transit_obs::metrics::counter("conc.counter").get();
-    assert_eq!(after - before, (THREADS * OPS) as u64, "lost counter updates");
+    assert_eq!(
+        after - before,
+        (THREADS * OPS) as u64,
+        "lost counter updates"
+    );
 }
 
 #[test]
@@ -38,7 +42,11 @@ fn concurrent_histogram_records_are_all_counted() {
     assert_eq!(h.count() - before, (THREADS * OPS) as u64, "lost samples");
     // Bucket counts agree with the total.
     let snap = transit_obs::snapshot_metrics();
-    let bucket_total: u64 = snap.histograms["conc.hist"].buckets.iter().map(|&(_, n)| n).sum();
+    let bucket_total: u64 = snap.histograms["conc.hist"]
+        .buckets
+        .iter()
+        .map(|&(_, n)| n)
+        .sum();
     assert_eq!(bucket_total, snap.histograms["conc.hist"].count);
 }
 
@@ -87,8 +95,7 @@ fn concurrent_inherited_paths_stay_thread_local() {
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             scope.spawn(move || {
-                let _guard =
-                    transit_obs::inherit_path(vec![format!("conc.base{t}")]);
+                let _guard = transit_obs::inherit_path(vec![format!("conc.base{t}")]);
                 for _ in 0..200 {
                     let _s = transit_obs::span!("conc.pinned");
                 }

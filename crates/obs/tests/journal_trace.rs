@@ -22,10 +22,7 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "transit_journal_it_{tag}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("transit_journal_it_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
@@ -73,13 +70,22 @@ fn concurrent_writers_drop_no_events_and_stay_per_tid_balanced() {
             EventKind::SpanBegin => stacks.entry(e.tid).or_default().push(e.name.clone()),
             EventKind::SpanEnd => {
                 let top = stacks.entry(e.tid).or_default().pop();
-                assert_eq!(top.as_ref(), Some(&e.name), "mismatched end on tid {}", e.tid);
+                assert_eq!(
+                    top.as_ref(),
+                    Some(&e.name),
+                    "mismatched end on tid {}",
+                    e.tid
+                );
             }
             _ => {}
         }
     }
     for (tid, stack) in &stacks {
-        assert!(stack.is_empty(), "tid {tid} left {} open span(s)", stack.len());
+        assert!(
+            stack.is_empty(),
+            "tid {tid} left {} open span(s)",
+            stack.len()
+        );
     }
     assert_eq!(tids.len(), HAMMER_THREADS, "each writer gets its own tid");
 

@@ -7,9 +7,7 @@
 //! emitted verbatim, so a help string containing a newline split the
 //! exposition mid-comment and broke every scraper downstream.
 
-use transit_obs::metrics::{
-    counter, describe, histogram, snapshot, validate_prometheus_text,
-};
+use transit_obs::metrics::{counter, describe, histogram, snapshot, validate_prometheus_text};
 
 #[test]
 fn full_registry_dump_conforms_with_hostile_help_strings() {
@@ -19,10 +17,7 @@ fn full_registry_dump_conforms_with_hostile_help_strings() {
     );
     describe("conformance.newline", "first line\nsecond line\nthird");
     describe("conformance.quotes", "says \"hello\" twice \"\"");
-    describe(
-        "conformance.all_three",
-        "mix: \\ then\na \"quoted\" end\\",
-    );
+    describe("conformance.all_three", "mix: \\ then\na \"quoted\" end\\");
     counter("conformance.backslash").add(1);
     counter("conformance.newline").add(2);
     counter("conformance.quotes").add(3);

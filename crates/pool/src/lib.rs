@@ -421,7 +421,11 @@ fn execute(copy: &TaskCopy) {
 /// under a running task).
 pub fn fanout<F: Fn(usize) + Sync>(width_cap: usize, f: F) {
     let budget = thread_budget();
-    let cap = if width_cap == 0 { usize::MAX } else { width_cap };
+    let cap = if width_cap == 0 {
+        usize::MAX
+    } else {
+        width_cap
+    };
     let width = budget.min(cap).clamp(1, MAX_WORKERS + 1);
     if width == 1 {
         counter!("pool.tasks.inline").inc();
@@ -569,9 +573,15 @@ where
 
 /// Registers help text for the pool's metrics (for `/metrics` output).
 pub fn describe_metrics() {
-    transit_obs::metrics::describe("pool.tasks.executed", "fanout task copies executed by workers");
+    transit_obs::metrics::describe(
+        "pool.tasks.executed",
+        "fanout task copies executed by workers",
+    );
     transit_obs::metrics::describe("pool.tasks.inline", "fanout regions run inline (width 1)");
-    transit_obs::metrics::describe("pool.tasks.cancelled", "queued task copies cancelled unclaimed");
+    transit_obs::metrics::describe(
+        "pool.tasks.cancelled",
+        "queued task copies cancelled unclaimed",
+    );
     transit_obs::metrics::describe("pool.steals", "tasks stolen from another worker's deque");
     transit_obs::metrics::describe("pool.parks", "worker park events (idle, waiting for work)");
     transit_obs::metrics::describe("pool.unparks", "worker wake-ups issued at submit");

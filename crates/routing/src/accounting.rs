@@ -390,8 +390,14 @@ mod tests {
         }
         flows_acc.assign(
             &[
-                flow(Ipv4Addr::new(10, 0, 0, 1), onnet_bytes_per_poll * polls as u64),
-                flow(Ipv4Addr::new(8, 8, 8, 8), offnet_bytes_per_poll * polls as u64),
+                flow(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    onnet_bytes_per_poll * polls as u64,
+                ),
+                flow(
+                    Ipv4Addr::new(8, 8, 8, 8),
+                    offnet_bytes_per_poll * polls as u64,
+                ),
             ],
             &rib,
         );

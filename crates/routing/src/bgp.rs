@@ -179,7 +179,10 @@ mod tests {
             .with_tier(64_500, TierTag(2));
         assert_eq!(r.tier(), Some(TierTag(2)));
         assert_eq!(
-            r.communities.iter().filter(|c| c.as_tier().is_some()).count(),
+            r.communities
+                .iter()
+                .filter(|c| c.as_tier().is_some())
+                .count(),
             1
         );
     }
@@ -227,11 +230,7 @@ mod tests {
         let mut rib = Rib::new();
         let first = RouteAnnouncement::new(p("10.0.0.0/8"), vec![1, 2], hop());
         rib.announce(first.clone());
-        assert!(!rib.announce(RouteAnnouncement::new(
-            p("10.0.0.0/8"),
-            vec![7, 8],
-            hop()
-        )));
+        assert!(!rib.announce(RouteAnnouncement::new(p("10.0.0.0/8"), vec![7, 8], hop())));
         assert_eq!(rib.lookup(Ipv4Addr::new(10, 0, 0, 1)).unwrap(), &first);
     }
 

@@ -26,8 +26,8 @@ pub mod tagging;
 pub mod trie;
 
 pub use accounting::{Bill, FlowAccounting, LinkAccounting, TierCharge, TierRate};
-pub use policy::{BackboneOption, Egress, EgressPlan, EgressPolicy};
-pub use tagging::{Match, Rule, TaggingPolicy};
 pub use bgp::{ExtCommunity, Rib, RouteAnnouncement, TierTag};
+pub use policy::{BackboneOption, Egress, EgressPlan, EgressPolicy};
 pub use prefix::{Ipv4Prefix, PrefixError};
+pub use tagging::{Match, Rule, TaggingPolicy};
 pub use trie::PrefixTrie;

@@ -100,10 +100,7 @@ impl EgressPolicy {
     /// Creates a policy from the upstream's tier price list.
     pub fn new(rates: &[TierRate]) -> EgressPolicy {
         EgressPolicy {
-            rates: rates
-                .iter()
-                .map(|r| (r.tier, r.dollars_per_mbps))
-                .collect(),
+            rates: rates.iter().map(|r| (r.tier, r.dollars_per_mbps)).collect(),
             backbone: BTreeMap::new(),
         }
     }
@@ -149,10 +146,7 @@ impl EgressPolicy {
         let mut total_saving = 0.0;
         for &(dst, mbps) in traffic {
             let egress = self.decide(rib, dst);
-            let hot_price = rib
-                .tier_for(dst)
-                .and_then(|t| self.rates.get(&t))
-                .copied();
+            let hot_price = rib.tier_for(dst).and_then(|t| self.rates.get(&t)).copied();
             let (cost, saving) = match (egress, hot_price) {
                 (Egress::HotPotato { price, .. }, _) => (price * mbps, 0.0),
                 (Egress::ColdPotato { unit_cost }, Some(hot)) => {
@@ -287,7 +281,7 @@ mod tests {
         );
         let traffic = [
             (Ipv4Addr::new(20, 1, 1, 1), 100.0), // hot at $6 → $600
-            (far, 50.0),                          // cold at $11 → $550, saves (25-11)*50=$700
+            (far, 50.0),                         // cold at $11 → $550, saves (25-11)*50=$700
         ];
         let plan = policy.plan(&rib(), &traffic);
         assert!((plan.total_cost - (600.0 + 550.0)).abs() < 1e-9);

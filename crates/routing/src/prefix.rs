@@ -42,7 +42,11 @@ impl Ipv4Prefix {
             return Err(PrefixError::BadLength(len));
         }
         let raw = u32::from(addr);
-        let masked = if len == 0 { 0 } else { raw & (u32::MAX << (32 - len)) };
+        let masked = if len == 0 {
+            0
+        } else {
+            raw & (u32::MAX << (32 - len))
+        };
         Ok(Ipv4Prefix { addr: masked, len })
     }
 

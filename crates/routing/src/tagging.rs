@@ -31,8 +31,7 @@ impl Match {
     fn matches(&self, route: &RouteAnnouncement) -> bool {
         match self {
             Match::PrefixWithin(covering) => {
-                covering.len() <= route.prefix.len()
-                    && covering.contains(route.prefix.network())
+                covering.len() <= route.prefix.len() && covering.contains(route.prefix.network())
             }
             Match::OriginAs(asn) => route.origin_as() == Some(*asn),
             Match::PathLenAtMost(n) => route.as_path.len() <= *n,
@@ -107,11 +106,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn route(prefix: &str, as_path: Vec<u32>) -> RouteAnnouncement {
-        RouteAnnouncement::new(
-            prefix.parse().unwrap(),
-            as_path,
-            Ipv4Addr::new(10, 0, 0, 1),
-        )
+        RouteAnnouncement::new(prefix.parse().unwrap(), as_path, Ipv4Addr::new(10, 0, 0, 1))
     }
 
     fn policy() -> TaggingPolicy {

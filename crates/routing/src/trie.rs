@@ -168,20 +168,26 @@ mod tests {
         assert_eq!(*v, "finest");
         assert_eq!(pref, p("10.1.2.0/24"));
         assert_eq!(*trie.lookup(Ipv4Addr::new(10, 1, 9, 9)).unwrap().1, "finer");
-        assert_eq!(*trie.lookup(Ipv4Addr::new(10, 9, 9, 9)).unwrap().1, "coarse");
+        assert_eq!(
+            *trie.lookup(Ipv4Addr::new(10, 9, 9, 9)).unwrap().1,
+            "coarse"
+        );
         assert!(trie.lookup(Ipv4Addr::new(11, 0, 0, 1)).is_none());
     }
 
     #[test]
     fn default_route_backstops() {
-        let trie: PrefixTrie<&str> = [
-            (p("0.0.0.0/0"), "default"),
-            (p("192.168.0.0/16"), "lan"),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(*trie.lookup(Ipv4Addr::new(8, 8, 8, 8)).unwrap().1, "default");
-        assert_eq!(*trie.lookup(Ipv4Addr::new(192, 168, 3, 4)).unwrap().1, "lan");
+        let trie: PrefixTrie<&str> = [(p("0.0.0.0/0"), "default"), (p("192.168.0.0/16"), "lan")]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            *trie.lookup(Ipv4Addr::new(8, 8, 8, 8)).unwrap().1,
+            "default"
+        );
+        assert_eq!(
+            *trie.lookup(Ipv4Addr::new(192, 168, 3, 4)).unwrap().1,
+            "lan"
+        );
     }
 
     #[test]
@@ -228,17 +234,17 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(*trie.lookup(Ipv4Addr::new(10, 0, 0, 1)).unwrap().1, "low");
-        assert_eq!(*trie.lookup(Ipv4Addr::new(10, 200, 0, 1)).unwrap().1, "high");
+        assert_eq!(
+            *trie.lookup(Ipv4Addr::new(10, 200, 0, 1)).unwrap().1,
+            "high"
+        );
     }
 
     #[test]
     fn remove_restores_fallback_to_covering_prefix() {
-        let mut trie: PrefixTrie<&str> = [
-            (p("10.0.0.0/8"), "coarse"),
-            (p("10.1.0.0/16"), "fine"),
-        ]
-        .into_iter()
-        .collect();
+        let mut trie: PrefixTrie<&str> = [(p("10.0.0.0/8"), "coarse"), (p("10.1.0.0/16"), "fine")]
+            .into_iter()
+            .collect();
         let addr = Ipv4Addr::new(10, 1, 2, 3);
         assert_eq!(*trie.lookup(addr).unwrap().1, "fine");
         assert_eq!(trie.remove(p("10.1.0.0/16")), Some("fine"));

@@ -34,7 +34,12 @@ use serde::Content;
 /// rendering); the helper exists so params/corpus code reads as a flat
 /// field list.
 pub fn map(fields: Vec<(&str, Content)>) -> Content {
-    Content::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Content::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Returns `content` with every map's keys sorted recursively — the
@@ -89,8 +94,17 @@ mod tests {
     #[test]
     fn keys_sort_recursively() {
         let c = map(vec![
-            ("zeta", map(vec![("b", Content::U64(2)), ("a", Content::U64(1))])),
-            ("alpha", Content::Seq(vec![map(vec![("y", Content::Null), ("x", Content::Bool(true))])])),
+            (
+                "zeta",
+                map(vec![("b", Content::U64(2)), ("a", Content::U64(1))]),
+            ),
+            (
+                "alpha",
+                Content::Seq(vec![map(vec![
+                    ("y", Content::Null),
+                    ("x", Content::Bool(true)),
+                ])]),
+            ),
         ]);
         assert_eq!(
             to_canonical_json(&c),
@@ -100,8 +114,14 @@ mod tests {
 
     #[test]
     fn field_order_never_changes_output() {
-        let a = map(vec![("p", Content::F64(1.5)), ("q", Content::Str("s".into()))]);
-        let b = map(vec![("q", Content::Str("s".into())), ("p", Content::F64(1.5))]);
+        let a = map(vec![
+            ("p", Content::F64(1.5)),
+            ("q", Content::Str("s".into())),
+        ]);
+        let b = map(vec![
+            ("q", Content::Str("s".into())),
+            ("p", Content::F64(1.5)),
+        ]);
         assert_eq!(to_canonical_json(&a), to_canonical_json(&b));
         assert_eq!(to_canonical_pretty(&a), to_canonical_pretty(&b));
     }

@@ -50,17 +50,23 @@ impl<'a> Cursor<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads an `f64` from its bit pattern (exact).
@@ -92,7 +98,10 @@ impl<'a> Cursor<'a> {
 /// If `s` exceeds `u16::MAX` bytes.
 pub fn push_string(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
-    assert!(bytes.len() <= u16::MAX as usize, "string too long to encode");
+    assert!(
+        bytes.len() <= u16::MAX as usize,
+        "string too long to encode"
+    );
     out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
     out.extend_from_slice(bytes);
 }

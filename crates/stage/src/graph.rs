@@ -428,10 +428,7 @@ impl Executor {
             let ready: Vec<(usize, Vec<Artifact>)> = (0..n)
                 .filter(|&i| {
                     artifacts[i].is_none()
-                        && graph.nodes[i]
-                            .deps
-                            .iter()
-                            .all(|d| artifacts[d.0].is_some())
+                        && graph.nodes[i].deps.iter().all(|d| artifacts[d.0].is_some())
                 })
                 .map(|i| {
                     let deps = graph.nodes[i]
@@ -468,7 +465,10 @@ impl Executor {
         }
 
         Ok(RunOutcome {
-            artifacts: artifacts.into_iter().map(|a| a.expect("all done")).collect(),
+            artifacts: artifacts
+                .into_iter()
+                .map(|a| a.expect("all done"))
+                .collect(),
             reports: reports.into_iter().map(|r| r.expect("all done")).collect(),
         })
     }
@@ -498,11 +498,8 @@ impl Executor {
             None => {
                 // Keyed by kind and label, not node index, so the span
                 // tree never merges unrelated stages across graphs.
-                let _span = transit_obs::span!(
-                    "stage.run",
-                    kind = node.stage.kind(),
-                    label = node.label
-                );
+                let _span =
+                    transit_obs::span!("stage.run", kind = node.stage.kind(), label = node.label);
                 let artifact = node.stage.run(deps).map_err(|message| StageError::Failed {
                     label: node.label.clone(),
                     message,

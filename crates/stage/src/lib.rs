@@ -35,7 +35,9 @@ pub mod graph;
 pub mod hash;
 pub mod store;
 
-pub use graph::{Executor, Graph, NodeId, Plan, PlanEntry, RunOutcome, Stage, StageError, StageReport};
+pub use graph::{
+    Executor, Graph, NodeId, Plan, PlanEntry, RunOutcome, Stage, StageError, StageReport,
+};
 pub use hash::{sha256, Fingerprint, Sha256};
 pub use store::{Artifact, GcStats, Store};
 
@@ -54,7 +56,10 @@ mod tests {
     }
 
     impl TestStage {
-        fn new(kind: &'static str, seed: u64) -> (TestStage, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+        fn new(
+            kind: &'static str,
+            seed: u64,
+        ) -> (TestStage, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
             let runs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
             (
                 TestStage {
@@ -98,10 +103,8 @@ mod tests {
     }
 
     fn tmp_store(tag: &str) -> (std::path::PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!(
-            "transit-stage-exec-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("transit-stage-exec-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
         (dir, store)
@@ -211,7 +214,11 @@ mod tests {
         let warm = Executor::new().with_store(store).run(&g2).unwrap();
         assert!(warm.reports.iter().all(|r| r.hit), "warm run hits all");
         for (i, r) in runs.iter().enumerate() {
-            assert_eq!(r.load(std::sync::atomic::Ordering::SeqCst), 0, "stage {i} recomputed");
+            assert_eq!(
+                r.load(std::sync::atomic::Ordering::SeqCst),
+                0,
+                "stage {i} recomputed"
+            );
         }
         for (a, b) in cold.artifacts.iter().zip(&warm.artifacts) {
             assert_eq!(a, b, "warm artifacts byte-identical");

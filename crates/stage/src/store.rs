@@ -259,10 +259,8 @@ mod tests {
     use crate::hash::sha256 as h;
 
     fn tmp_store(tag: &str) -> (PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!(
-            "transit-stage-store-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("transit-stage-store-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();
         (dir, store)
@@ -361,8 +359,14 @@ mod tests {
         let stats = store.gc(2 * 148).unwrap();
         assert_eq!(stats.evicted_files, 2);
         assert_eq!(stats.kept_files, 2);
-        assert!(!store.contains(ids[0]) && !store.contains(ids[1]), "oldest evicted");
-        assert!(store.contains(ids[2]) && store.contains(ids[3]), "newest kept");
+        assert!(
+            !store.contains(ids[0]) && !store.contains(ids[1]),
+            "oldest evicted"
+        );
+        assert!(
+            store.contains(ids[2]) && store.contains(ids[3]),
+            "newest kept"
+        );
         assert!(!store.objects_dir().join(".litter.tmp").exists());
 
         // A zero budget empties the store.

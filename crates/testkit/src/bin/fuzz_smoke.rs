@@ -276,7 +276,10 @@ fn emit_corpus(dir: &Path) -> ExitCode {
         match transit_testkit::check(&case.scenario) {
             Ok(Verdict::Pass) => {}
             Ok(Verdict::Skip(why)) => {
-                eprintln!("fuzz_smoke: curated case {} skips ({why}); refusing to emit", case.name);
+                eprintln!(
+                    "fuzz_smoke: curated case {} skips ({why}); refusing to emit",
+                    case.name
+                );
                 return ExitCode::FAILURE;
             }
             Err(d) => {
@@ -291,7 +294,11 @@ fn emit_corpus(dir: &Path) -> ExitCode {
         }
         println!("emitted {}", path.display());
     }
-    println!("fuzz_smoke: emitted {} corpus cases to {}", cases.len(), dir.display());
+    println!(
+        "fuzz_smoke: emitted {} corpus cases to {}",
+        cases.len(),
+        dir.display()
+    );
     ExitCode::SUCCESS
 }
 
@@ -341,12 +348,8 @@ fn write_profile_sidecars(dir: &Path, args: &Args) -> std::io::Result<()> {
             serde::Content::Seq(args.seeds.iter().map(|&s| serde::Content::U64(s)).collect()),
         ),
     ]);
-    let manifest = transit_obs::RunManifest::capture(
-        config,
-        args.seeds[0],
-        1,
-        vec!["fuzz_smoke".to_string()],
-    );
+    let manifest =
+        transit_obs::RunManifest::capture(config, args.seeds[0], 1, vec!["fuzz_smoke".to_string()]);
     manifest.write_to(dir)?;
     transit_obs::trace::finalize_journal()?;
     Ok(())
@@ -368,7 +371,10 @@ fn main() -> ExitCode {
 
     if let Some(dir) = &args.profile {
         if let Err(e) = transit_obs::journal::enable(dir) {
-            eprintln!("fuzz_smoke: cannot open event journal under {}: {e}", dir.display());
+            eprintln!(
+                "fuzz_smoke: cannot open event journal under {}: {e}",
+                dir.display()
+            );
             return ExitCode::FAILURE;
         }
     }

@@ -133,7 +133,10 @@ pub fn to_json(case: &CorpusCase) -> String {
     let content = map(vec![
         ("name", Content::Str(case.name.clone())),
         ("note", Content::Str(case.note.clone())),
-        ("family", Content::Str(case.scenario.family().name().to_string())),
+        (
+            "family",
+            Content::Str(case.scenario.family().name().to_string()),
+        ),
         ("scenario", scenario_content(&case.scenario)),
     ]);
     to_canonical_pretty(&content)
@@ -258,8 +261,8 @@ fn parse_scenario(family: Family, v: &Value) -> Result<Scenario, CorpusError> {
 pub fn from_json(text: &str) -> Result<CorpusCase, CorpusError> {
     let value: Value =
         serde_json::from_str(text).map_err(|e| CorpusError::Json(format!("{e:?}")))?;
-    let family = Family::parse(get_str(&value, "family", "family")?)
-        .ok_or(CorpusError::Schema("family"))?;
+    let family =
+        Family::parse(get_str(&value, "family", "family")?).ok_or(CorpusError::Schema("family"))?;
     let scenario_value = value
         .get("scenario")
         .ok_or(CorpusError::Schema("scenario"))?;
@@ -314,9 +317,8 @@ mod tests {
                     scenario: Scenario::generate(family, seed),
                 };
                 let json = to_json(&case);
-                let back = from_json(&json).unwrap_or_else(|e| {
-                    panic!("{} seed {seed}: {e}\n{json}", family.name())
-                });
+                let back = from_json(&json)
+                    .unwrap_or_else(|e| panic!("{} seed {seed}: {e}\n{json}", family.name()));
                 assert_eq!(back, case, "{} seed {seed}", family.name());
             }
         }
@@ -331,6 +333,9 @@ mod tests {
         ));
         let mismatched = "{\"name\":\"x\",\"note\":\"y\",\"family\":\"series\",\
             \"scenario\":{\"family\":\"ingest\",\"scenario\":{}}}";
-        assert_eq!(from_json(mismatched), Err(CorpusError::Schema("family mismatch")));
+        assert_eq!(
+            from_json(mismatched),
+            Err(CorpusError::Schema("family mismatch"))
+        );
     }
 }

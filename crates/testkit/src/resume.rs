@@ -143,10 +143,8 @@ mod tests {
 
     #[test]
     fn oracle_passes_on_a_deterministic_graph() {
-        let scratch = std::env::temp_dir().join(format!(
-            "transit-testkit-resume-{}",
-            std::process::id()
-        ));
+        let scratch =
+            std::env::temp_dir().join(format!("transit-testkit-resume-{}", std::process::id()));
         let report = check_kill_resume(&scratch, chain_graph, |out| {
             out.artifacts.last().unwrap().bytes().to_vec()
         })
@@ -154,7 +152,10 @@ mod tests {
         assert_eq!(report.stages, 4);
         assert_eq!(report.boundaries.len(), 5);
         assert_eq!(report.boundaries[2].resume_hits, 2);
-        assert_eq!(report.boundaries[4].resume_misses, 0, "warm run recomputes nothing");
+        assert_eq!(
+            report.boundaries[4].resume_misses, 0,
+            "warm run recomputes nothing"
+        );
         let _ = std::fs::remove_dir_all(&scratch);
     }
 }

@@ -125,7 +125,10 @@ pub fn candidates(scenario: &Scenario) -> Vec<Scenario> {
             .into_iter()
             .map(|m| Scenario::Series { market: m })
             .collect(),
-        Scenario::Ingest(s) => ingest_candidates(s).into_iter().map(Scenario::Ingest).collect(),
+        Scenario::Ingest(s) => ingest_candidates(s)
+            .into_iter()
+            .map(Scenario::Ingest)
+            .collect(),
     }
 }
 
@@ -178,7 +181,10 @@ fn ingest_candidates(s: &IngestScenario) -> Vec<IngestScenario> {
         for i in 0..s.faults.len() {
             let mut faults = s.faults.clone();
             faults.remove(i);
-            out.push(IngestScenario { faults, ..s.clone() });
+            out.push(IngestScenario {
+                faults,
+                ..s.clone()
+            });
         }
     }
     if s.n_flows > 1 {

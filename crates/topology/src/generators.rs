@@ -197,8 +197,7 @@ mod tests {
     fn cdn_origins_span_continents() {
         let origins = cdn_origins();
         assert!(origins.len() >= 15);
-        let countries: std::collections::HashSet<_> =
-            origins.iter().map(|c| c.country).collect();
+        let countries: std::collections::HashSet<_> = origins.iter().map(|c| c.country).collect();
         assert!(countries.len() >= 8, "origins in many countries");
     }
 

@@ -76,7 +76,12 @@ impl Topology {
     }
 
     /// Adds a PoP, returning its id.
-    pub fn add_pop(&mut self, name: impl Into<String>, country: impl Into<String>, coord: Coord) -> PopId {
+    pub fn add_pop(
+        &mut self,
+        name: impl Into<String>,
+        country: impl Into<String>,
+        coord: Coord,
+    ) -> PopId {
         let id = PopId(self.pops.len());
         self.pops.push(Pop {
             name: name.into(),
@@ -91,7 +96,10 @@ impl Topology {
     /// between the endpoints. Panics if either id is out of range or the
     /// endpoints are equal (self-links are meaningless here).
     pub fn add_link(&mut self, a: PopId, b: PopId, capacity_gbps: f64) -> usize {
-        assert!(a.0 < self.pops.len() && b.0 < self.pops.len(), "PopId out of range");
+        assert!(
+            a.0 < self.pops.len() && b.0 < self.pops.len(),
+            "PopId out of range"
+        );
         assert_ne!(a, b, "self-links are not allowed");
         let length = self.pops[a.0].coord.distance_miles(&self.pops[b.0].coord);
         let idx = self.links.len();
@@ -248,7 +256,10 @@ mod tests {
         let (t, a, b, _, _) = diamond();
         let expect = t.pop(a).coord.distance_miles(&t.pop(b).coord);
         assert!((t.links()[0].length_miles - expect).abs() < 1e-9);
-        assert!(expect > 200.0 && expect < 300.0, "5 deg lon at 40N ≈ 264 mi");
+        assert!(
+            expect > 200.0 && expect < 300.0,
+            "5 deg lon at 40N ≈ 264 mi"
+        );
     }
 
     #[test]
@@ -282,9 +293,7 @@ mod tests {
             let hop = t
                 .links()
                 .iter()
-                .find(|l| {
-                    (l.a == w[0] && l.b == w[1]) || (l.a == w[1] && l.b == w[0])
-                })
+                .find(|l| (l.a == w[0] && l.b == w[1]) || (l.a == w[1] && l.b == w[0]))
                 .expect("consecutive path pops are linked");
             total += hop.length_miles;
         }

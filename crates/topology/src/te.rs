@@ -89,9 +89,7 @@ pub fn route_demands(topology: &Topology, demands: &[Demand]) -> LinkLoadReport 
             let link_idx = topology
                 .links()
                 .iter()
-                .position(|l| {
-                    (l.a == hop[0] && l.b == hop[1]) || (l.a == hop[1] && l.b == hop[0])
-                })
+                .position(|l| (l.a == hop[0] && l.b == hop[1]) || (l.a == hop[1] && l.b == hop[0]))
                 .expect("path hops are links");
             mbps[link_idx] += d.mbps;
         }
@@ -180,7 +178,10 @@ mod tests {
             .iter()
             .find(|l| l.mbps > 0.0)
             .expect("direct link loaded");
-        assert!((chi_ny.mbps - 150.0).abs() < 1e-9, "undirected accumulation");
+        assert!(
+            (chi_ny.mbps - 150.0).abs() < 1e-9,
+            "undirected accumulation"
+        );
     }
 
     #[test]

@@ -58,7 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report_before = route_demands(&topology, &before);
     let report_after = route_demands(&topology, &after);
 
-    println!("3-tier re-pricing of the Internet2-like network ({} flows)\n", before.len());
+    println!(
+        "3-tier re-pricing of the Internet2-like network ({} flows)\n",
+        before.len()
+    );
     println!(
         "{:<28} {:>12} {:>12} {:>8}",
         "link", "before Mbps", "after Mbps", "delta"

@@ -10,8 +10,8 @@
 use std::net::Ipv4Addr;
 
 use tiered_transit::routing::{
-    BackboneOption, Egress, EgressPolicy, Ipv4Prefix, Match, Rib, RouteAnnouncement,
-    TaggingPolicy, TierRate, TierTag,
+    BackboneOption, Egress, EgressPolicy, Ipv4Prefix, Match, Rib, RouteAnnouncement, TaggingPolicy,
+    TierRate, TierTag,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,10 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let next_hop = Ipv4Addr::new(10, 0, 0, 1);
     let mut rib = Rib::new();
     let announcements = [
-        ("100.64.10.0/24", vec![64_501u32]),        // customer → tier 0
-        ("100.64.20.0/24", vec![64_500, 64_502]),   // regional → tier 1
-        ("142.250.0.0/15", vec![3_356, 15_169]),    // global → tier 2
-        ("0.0.0.0/0", vec![3_356, 1_299, 2_914]),   // default → tier 2
+        ("100.64.10.0/24", vec![64_501u32]),      // customer → tier 0
+        ("100.64.20.0/24", vec![64_500, 64_502]), // regional → tier 1
+        ("142.250.0.0/15", vec![3_356, 15_169]),  // global → tier 2
+        ("0.0.0.0/0", vec![3_356, 1_299, 2_914]), // default → tier 2
     ];
     println!("upstream announces (tagged by policy):");
     for (prefix, path) in announcements {
@@ -49,9 +49,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The published price list.
     let rates = [
-        TierRate { tier: TierTag(0), dollars_per_mbps: 5.0 },
-        TierRate { tier: TierTag(1), dollars_per_mbps: 11.0 },
-        TierRate { tier: TierTag(2), dollars_per_mbps: 24.0 },
+        TierRate {
+            tier: TierTag(0),
+            dollars_per_mbps: 5.0,
+        },
+        TierRate {
+            tier: TierTag(1),
+            dollars_per_mbps: 11.0,
+        },
+        TierRate {
+            tier: TierTag(2),
+            dollars_per_mbps: 24.0,
+        },
     ];
     println!("\nprice list: tier0 $5, tier1 $11, tier2 $24 per Mbps/month");
 
@@ -61,22 +70,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let elsewhere = Ipv4Addr::new(203, 0, 113, 50);
     policy.add_backbone_option(
         google,
-        BackboneOption { haul_cost: 3.0, handoff_price: 6.0 }, // $9 vs $24
+        BackboneOption {
+            haul_cost: 3.0,
+            handoff_price: 6.0,
+        }, // $9 vs $24
     );
     policy.add_backbone_option(
         elsewhere,
-        BackboneOption { haul_cost: 9.0, handoff_price: 18.0 }, // $27 vs $24
+        BackboneOption {
+            haul_cost: 9.0,
+            handoff_price: 18.0,
+        }, // $27 vs $24
     );
 
     let traffic = [
         (Ipv4Addr::new(100, 64, 10, 7), 300.0), // tier 0
         (Ipv4Addr::new(100, 64, 20, 9), 120.0), // tier 1
-        (google, 400.0),                         // tier 2, backbone option
-        (elsewhere, 80.0),                       // tier 2, bad option
+        (google, 400.0),                        // tier 2, backbone option
+        (elsewhere, 80.0),                      // tier 2, bad option
     ];
     let plan = policy.plan(&rib, &traffic);
 
-    println!("\n{:<18} {:>7}  {:<34} {:>10}", "destination", "Mbps", "egress", "saving/mo");
+    println!(
+        "\n{:<18} {:>7}  {:<34} {:>10}",
+        "destination", "Mbps", "egress", "saving/mo"
+    );
     for d in &plan.decisions {
         let egress = match d.egress {
             Egress::HotPotato { tier, price } => {
@@ -87,7 +105,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             Egress::Unroutable => "unroutable".into(),
         };
-        println!("{:<18} {:>7.0}  {:<34} {:>9.0}$", d.dst.to_string(), d.mbps, egress, d.saving);
+        println!(
+            "{:<18} {:>7.0}  {:<34} {:>9.0}$",
+            d.dst.to_string(),
+            d.mbps,
+            egress,
+            d.saving
+        );
     }
     println!(
         "\ntotal monthly transit spend ${:.0}; cold-potato saving ${:.0}",

@@ -23,19 +23,23 @@ fn main() {
     };
     let tiered_price = (base.margin + 1.0) * base.isp_cost + base.accounting_overhead;
 
-    println!("Blended rate R = ${}/Mbps/mo; ISP cost for the local flows = ${}/Mbps/mo",
-        base.blended_rate, base.isp_cost);
+    println!(
+        "Blended rate R = ${}/Mbps/mo; ISP cost for the local flows = ${}/Mbps/mo",
+        base.blended_rate, base.isp_cost
+    );
     println!("Under tiered pricing the ISP could profitably sell this traffic at ${tiered_price:.2}/Mbps/mo\n");
 
-    println!("{:>20} | {:<18} | interpretation", "CDN's direct cost", "decision");
+    println!(
+        "{:>20} | {:<18} | interpretation",
+        "CDN's direct cost", "decision"
+    );
     println!("{:->20}-+-{:-<18}-+-{:-<40}", "", "", "");
     let costs = [2.0, 4.0, 5.7, 6.0, 10.0, 15.0, 19.0, 20.0, 25.0];
     for eval in sweep_direct_cost(base, &costs) {
         let (decision, why) = match eval.outcome {
-            PeeringOutcome::StayWithTransit => (
-                "buy transit",
-                "the ISP is the cheapest option".to_string(),
-            ),
+            PeeringOutcome::StayWithTransit => {
+                ("buy transit", "the ISP is the cheapest option".to_string())
+            }
             PeeringOutcome::EfficientBypass => (
                 "build the link",
                 "cheaper than any price the ISP could offer".to_string(),

@@ -18,7 +18,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ground truth: a synthetic Internet2-like traffic matrix.
     let dataset = generate(Network::Internet2, 60, 3);
     let truth_mbps: f64 = dataset.flows.iter().map(|f| f.demand_mbps).sum();
-    println!("ground truth: {} flows, {:.1} Mbps total", dataset.flows.len(), truth_mbps);
+    println!(
+        "ground truth: {} flows, {:.1} Mbps total",
+        dataset.flows.len(),
+        truth_mbps
+    );
 
     // Measure it like an operator would: 1-in-10 sampled NetFlow at three
     // core routers, collected and deduplicated.
@@ -49,8 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cost_model = LinearCost::new(0.2)?;
     let alpha = CedAlpha::new(1.1)?;
     let truth_market = CedMarket::new(fit_ced(&dataset.flows, &cost_model, alpha, 20.0)?)?;
-    let measured_market =
-        CedMarket::new(fit_ced(&out.measured_flows, &cost_model, alpha, 20.0)?)?;
+    let measured_market = CedMarket::new(fit_ced(&out.measured_flows, &cost_model, alpha, 20.0)?)?;
 
     let strategy = StrategyKind::ProfitWeighted.build();
     let truth_curve = capture_curve(&truth_market, strategy.as_ref(), 5)?;

@@ -17,14 +17,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 1: your measured traffic — per-flow demand (Mbps) at today's
     // blended rate, and the distance each flow travels (miles).
     let flows = vec![
-        TrafficFlow::new(0, 400.0, 8.0),    // heavy metro flow
-        TrafficFlow::new(1, 150.0, 45.0),   // regional
-        TrafficFlow::new(2, 90.0, 120.0),   // national
+        TrafficFlow::new(0, 400.0, 8.0),  // heavy metro flow
+        TrafficFlow::new(1, 150.0, 45.0), // regional
+        TrafficFlow::new(2, 90.0, 120.0), // national
         TrafficFlow::new(3, 35.0, 300.0),
         TrafficFlow::new(4, 20.0, 700.0),
-        TrafficFlow::new(5, 12.0, 1200.0),  // international
+        TrafficFlow::new(5, 12.0, 1200.0), // international
         TrafficFlow::new(6, 6.0, 2500.0),
-        TrafficFlow::new(7, 2.0, 4800.0),   // long-haul tail
+        TrafficFlow::new(7, 2.0, 4800.0), // long-haul tail
     ];
 
     // Step 2: pick a cost model and fit the demand model. The fit assumes
@@ -36,9 +36,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fit = fit_ced(&flows, &cost_model, CedAlpha::new(1.1)?, blended_rate)?;
     let market = CedMarket::new(fit)?;
 
-    println!("Fitted market: {} flows at P0 = ${blended_rate}/Mbps/month", market.n_flows());
+    println!(
+        "Fitted market: {} flows at P0 = ${blended_rate}/Mbps/month",
+        market.n_flows()
+    );
     println!("  status-quo profit:  ${:.2}", market.original_profit());
-    println!("  profit ceiling:     ${:.2} (every flow priced individually)", market.max_profit());
+    println!(
+        "  profit ceiling:     ${:.2} (every flow priced individually)",
+        market.max_profit()
+    );
     println!();
 
     // Step 3: how much of that ceiling do k tiers capture?

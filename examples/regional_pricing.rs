@@ -20,8 +20,11 @@ use tiered_transit::datasets::{generate, Network};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The synthetic EU transit ISP from the paper's Table 1.
     let dataset = generate(Network::EuIsp, 300, 7);
-    println!("EU ISP: {} flows, {:.1} Gbps aggregate", dataset.flows.len(),
-        dataset.flows.iter().map(|f| f.demand_mbps).sum::<f64>() / 1000.0);
+    println!(
+        "EU ISP: {} flows, {:.1} Gbps aggregate",
+        dataset.flows.len(),
+        dataset.flows.iter().map(|f| f.demand_mbps).sum::<f64>() / 1000.0
+    );
 
     let mut by_region: BTreeMap<&str, (usize, f64)> = BTreeMap::new();
     for f in &dataset.flows {

@@ -73,8 +73,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- §5.2: bill both ways -------------------------------------------
     let rates = [
-        TierRate { tier: TierTag(0), dollars_per_mbps: 8.0 },
-        TierRate { tier: TierTag(1), dollars_per_mbps: 22.0 },
+        TierRate {
+            tier: TierTag(0),
+            dollars_per_mbps: 8.0,
+        },
+        TierRate {
+            tier: TierTag(1),
+            dollars_per_mbps: 22.0,
+        },
     ];
     let bill_link = link.bill_95th(&rates);
     let bill_flow = flow_acct.bill_volume(window_secs, &rates);
@@ -93,7 +99,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             f.amount
         );
     }
-    println!("{:>24} ${:>8.2} {:>21} ${:>8.2}", "total", bill_link.total, "", bill_flow.total);
+    println!(
+        "{:>24} ${:>8.2} {:>21} ${:>8.2}",
+        "total", bill_link.total, "", bill_flow.total
+    );
     println!();
     println!("Both methods bill the same constant-rate traffic nearly identically");
     println!("(the small gap is 1-in-10 sampling noise); link accounting needed a");

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use tiered_transit::core::bundling::{
-    BundlingStrategy, ClassAware, DemandMassDivision, NaturalBreaks, OptimalDp,
-    OptimalExhaustive, StrategyKind, WeightKind,
+    BundlingStrategy, ClassAware, DemandMassDivision, NaturalBreaks, OptimalDp, OptimalExhaustive,
+    StrategyKind, WeightKind,
 };
 use tiered_transit::core::capture::{capture_curve, capture_for_bundling};
 use tiered_transit::core::coalesce::CoalescedMarket;
@@ -56,7 +56,10 @@ fn all_strategies(classes: Vec<usize>) -> Vec<Box<dyn BundlingStrategy>> {
         .iter()
         .map(|&kind| kind.build() as Box<dyn BundlingStrategy>)
         .collect();
-    strategies.push(Box::new(ClassAware::new(WeightKind::PotentialProfit, classes)));
+    strategies.push(Box::new(ClassAware::new(
+        WeightKind::PotentialProfit,
+        classes,
+    )));
     strategies.push(Box::new(NaturalBreaks));
     strategies.push(Box::new(DemandMassDivision));
     strategies
@@ -106,7 +109,11 @@ fn assert_coalescing_is_identity<M: TransitMarket>(
 ) -> std::result::Result<(), TestCaseError> {
     let coalesced = CoalescedMarket::new(market).unwrap();
     let raw = coalesced.inner();
-    prop_assert_eq!(coalesced.n_groups(), raw.n_flows(), "no-op must keep every flow");
+    prop_assert_eq!(
+        coalesced.n_groups(),
+        raw.n_flows(),
+        "no-op must keep every flow"
+    );
     for strategy in strategies {
         let group_series = strategy.bundle_series(&coalesced, max_bundles).unwrap();
         let raw_series = strategy.bundle_series(raw, max_bundles).unwrap();
@@ -317,9 +324,13 @@ fn tiled_dp_identical_on_tiling_sized_market() {
         .map(|i| TrafficFlow::new(i, 0.1 + 499.0 * next(), 0.5 + 3999.0 * next()))
         .collect();
     let market = ced_market(&flows);
-    let serial = OptimalDp::with_threads(1).bundle_series(&market, 6).unwrap();
+    let serial = OptimalDp::with_threads(1)
+        .bundle_series(&market, 6)
+        .unwrap();
     for threads in [2usize, 8] {
-        let tiled = OptimalDp::with_threads(threads).bundle_series(&market, 6).unwrap();
+        let tiled = OptimalDp::with_threads(threads)
+            .bundle_series(&market, 6)
+            .unwrap();
         assert_eq!(serial, tiled, "dp_threads={threads} diverged");
     }
     for bundling in &serial {

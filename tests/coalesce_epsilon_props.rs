@@ -40,11 +40,7 @@ fn ced_market(flows: &[TrafficFlow]) -> CedMarket {
 
 /// Replicates each base pair `replication` times with sub-ε demand
 /// jitter, capped at [`MAX_RAW_FLOWS`] total flows.
-fn replicated_flows(
-    base: &[(f64, f64)],
-    replication: usize,
-    jitter: f64,
-) -> Vec<TrafficFlow> {
+fn replicated_flows(base: &[(f64, f64)], replication: usize, jitter: f64) -> Vec<TrafficFlow> {
     let mut pairs: Vec<(f64, f64)> = Vec::new();
     for &(q, d) in base {
         for k in 0..replication {

@@ -36,8 +36,7 @@ fn measured_market_reaches_same_conclusions_as_truth() {
 
     let cost = LinearCost::new(0.2).unwrap();
     let alpha = CedAlpha::new(1.1).unwrap();
-    let truth =
-        CedMarket::new(fit_ced(&dataset.flows, &cost, alpha, 20.0).unwrap()).unwrap();
+    let truth = CedMarket::new(fit_ced(&dataset.flows, &cost, alpha, 20.0).unwrap()).unwrap();
     let measured =
         CedMarket::new(fit_ced(&out.measured_flows, &cost, alpha, 20.0).unwrap()).unwrap();
 
@@ -59,10 +58,9 @@ fn measured_market_reaches_same_conclusions_as_truth() {
 fn model_revenue_matches_deployed_billing() {
     let dataset = generate(Network::Internet2, 50, 9);
     let cost = LinearCost::new(0.2).unwrap();
-    let market = CedMarket::new(
-        fit_ced(&dataset.flows, &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap(),
-    )
-    .unwrap();
+    let market =
+        CedMarket::new(fit_ced(&dataset.flows, &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap())
+            .unwrap();
     let strategy = StrategyKind::Optimal.build();
     let bundling = strategy.bundle(&market, 3).unwrap();
     let tier_prices = market.bundle_prices(&bundling).unwrap();
@@ -155,7 +153,9 @@ fn endpoints_and_geography_are_consistent() {
 /// and produces non-empty output.
 #[test]
 fn all_experiments_run() {
-    use tiered_transit::experiments::{run, ExperimentConfig, ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS};
+    use tiered_transit::experiments::{
+        run, ExperimentConfig, ALL_IDS, EXTENSION_IDS, SENSITIVITY_IDS,
+    };
     let config = ExperimentConfig {
         n_flows: 60,
         ..ExperimentConfig::quick()
@@ -221,8 +221,7 @@ fn run_all_matches_each_experiment_alone() {
     assert_eq!(generate.len(), 28, "dataset requests across the invocation");
     let computed: Vec<_> = generate.iter().filter(|r| !r.hit).collect();
     assert_eq!(computed.len(), 3, "one computed dataset per network");
-    let distinct: std::collections::HashSet<_> =
-        computed.iter().map(|r| r.fingerprint).collect();
+    let distinct: std::collections::HashSet<_> = computed.iter().map(|r| r.fingerprint).collect();
     assert_eq!(distinct.len(), 3);
     assert!(
         generate.iter().filter(|r| r.hit).all(|r| r.seconds == 0.0),
@@ -241,10 +240,8 @@ fn demand_models_agree_on_directions() {
 
     let flows = generate(Network::EuIsp, 150, 11).flows;
     let cost = LinearCost::new(0.2).unwrap();
-    let ced = CedMarket::new(
-        fit_ced(&flows, &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap(),
-    )
-    .unwrap();
+    let ced =
+        CedMarket::new(fit_ced(&flows, &cost, CedAlpha::new(1.1).unwrap(), 20.0).unwrap()).unwrap();
     let logit = LogitMarket::new(
         fit_logit(&flows, &cost, LogitAlpha::new(1.1).unwrap(), 20.0, 0.2).unwrap(),
     )

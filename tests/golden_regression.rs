@@ -53,10 +53,7 @@ fn assert_json_close(a: &Value, b: &Value, path: &str) {
     match (a, b) {
         (Value::Number(x), Value::Number(y)) => {
             let scale = x.abs().max(y.abs()).max(1.0);
-            assert!(
-                (x - y).abs() <= 1e-9 * scale,
-                "{path}: {x} vs {y}"
-            );
+            assert!((x - y).abs() <= 1e-9 * scale, "{path}: {x} vs {y}");
         }
         (Value::Array(xs), Value::Array(ys)) => {
             assert_eq!(xs.len(), ys.len(), "{path}: array length");
@@ -84,7 +81,10 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     for id in GOLDEN_IDS {
         let serial = run_json(id, 1);
         let parallel = run_json(id, 8);
-        assert_eq!(serial, parallel, "{id}: --threads 1 vs --threads 8 JSON differs");
+        assert_eq!(
+            serial, parallel,
+            "{id}: --threads 1 vs --threads 8 JSON differs"
+        );
     }
 }
 
@@ -117,9 +117,7 @@ fn output_matches_golden_files() {
 fn json_excludes_timings() {
     // Stage timings vary run to run; the serializer must drop the stage
     // reports or the byte-identity guarantees above are meaningless.
-    let result = runners::run("table1", &golden_config(2))
-        .unwrap()
-        .unwrap();
+    let result = runners::run("table1", &golden_config(2)).unwrap().unwrap();
     assert!(
         result.stage_reports.iter().any(|r| r.seconds > 0.0),
         "table1 should record per-stage timings"

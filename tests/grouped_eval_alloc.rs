@@ -90,7 +90,9 @@ fn group_bundlings(groups: usize) -> Vec<Bundling> {
 
 fn same_prices(a: &[Option<f64>], b: &[Option<f64>]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| x.map(f64::to_bits) == y.map(f64::to_bits))
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.map(f64::to_bits) == y.map(f64::to_bits))
 }
 
 /// The two million-flow tests run one at a time to bound peak memory.
@@ -119,9 +121,16 @@ fn check_o_groups<M: TransitMarket>(market: M) {
 
         let expanded = cm.expand(&b).unwrap();
         let raw_profit = cm.inner().profit(&expanded).unwrap();
-        assert_eq!(profit.to_bits(), raw_profit.to_bits(), "{profit} vs {raw_profit}");
+        assert_eq!(
+            profit.to_bits(),
+            raw_profit.to_bits(),
+            "{profit} vs {raw_profit}"
+        );
         let raw_prices = cm.inner().bundle_prices(&expanded).unwrap();
-        assert!(same_prices(&prices, &raw_prices), "{prices:?} vs {raw_prices:?}");
+        assert!(
+            same_prices(&prices, &raw_prices),
+            "{prices:?} vs {raw_prices:?}"
+        );
     }
 }
 

@@ -104,7 +104,9 @@ fn profiled_fig8_manifest_has_spans_counters_and_timings() {
     // storeless stage run recorded 21 store misses.
     let counters = &manifest["metrics"]["counters"];
     let hits = counters["cache.fingerprint.hits"].as_f64().unwrap_or(-1.0);
-    let misses = counters["cache.fingerprint.misses"].as_f64().unwrap_or(-1.0);
+    let misses = counters["cache.fingerprint.misses"]
+        .as_f64()
+        .unwrap_or(-1.0);
     assert!(hits > 0.0, "cache hits counter: {hits}");
     assert!(misses > 0.0, "cache misses counter: {misses}");
     let stage_misses = counters["stage.store.misses"].as_f64().unwrap_or(-1.0);
@@ -195,7 +197,10 @@ fn pooled_stage_spans_never_surface_as_roots() {
             .keys()
             .filter(|k| k.starts_with("stage.run("))
             .collect();
-        assert!(orphans.is_empty(), "threads={threads}: orphan roots {orphans:?}");
+        assert!(
+            orphans.is_empty(),
+            "threads={threads}: orphan roots {orphans:?}"
+        );
         let invocation = &spans["experiment(id=fig8,table1,fig10)"];
         let graph_run = invocation
             .children
@@ -204,7 +209,10 @@ fn pooled_stage_spans_never_surface_as_roots() {
             .map(|(_, node)| node)
             .expect("the graph run nests under the invocation span");
         assert!(
-            graph_run.children.keys().any(|k| k.starts_with("stage.run(")),
+            graph_run
+                .children
+                .keys()
+                .any(|k| k.starts_with("stage.run(")),
             "threads={threads}: stage spans nest under the graph run"
         );
     }

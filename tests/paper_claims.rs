@@ -74,9 +74,7 @@ fn optimal_dominates_all_heuristics_everywhere() {
                 DemandFamily::Logit => &StrategyKind::LOGIT,
             };
             for b in 1..=6 {
-                let p_opt = m
-                    .profit(&optimal.bundle(m.as_ref(), b).unwrap())
-                    .unwrap();
+                let p_opt = m.profit(&optimal.bundle(m.as_ref(), b).unwrap()).unwrap();
                 for &kind in kinds {
                     let strategy = kind.build();
                     let p = m.profit(&strategy.bundle(m.as_ref(), b).unwrap()).unwrap();
@@ -101,7 +99,9 @@ fn logit_captures_faster_than_ced_at_two_bundles() {
         let ced = market(network, DemandFamily::Ced);
         let logit = market(network, DemandFamily::Logit);
         let optimal = StrategyKind::Optimal.build();
-        let ced_c = capture_curve(ced.as_ref(), optimal.as_ref(), 2).unwrap().capture[1];
+        let ced_c = capture_curve(ced.as_ref(), optimal.as_ref(), 2)
+            .unwrap()
+            .capture[1];
         let logit_c = capture_curve(logit.as_ref(), optimal.as_ref(), 2)
             .unwrap()
             .capture[1];
@@ -120,14 +120,12 @@ fn higher_cost_cv_means_more_profit_headroom() {
     let flows = generate(Network::EuIsp, N_FLOWS, SEED).flows;
     let alpha = CedAlpha::new(1.1).unwrap();
     // Base cost compresses cost CV; compare theta = 0.05 vs theta = 1.0.
-    let spread = CedMarket::new(
-        fit_ced(&flows, &LinearCost::new(0.05).unwrap(), alpha, 20.0).unwrap(),
-    )
-    .unwrap();
-    let flat = CedMarket::new(
-        fit_ced(&flows, &LinearCost::new(1.0).unwrap(), alpha, 20.0).unwrap(),
-    )
-    .unwrap();
+    let spread =
+        CedMarket::new(fit_ced(&flows, &LinearCost::new(0.05).unwrap(), alpha, 20.0).unwrap())
+            .unwrap();
+    let flat =
+        CedMarket::new(fit_ced(&flows, &LinearCost::new(1.0).unwrap(), alpha, 20.0).unwrap())
+            .unwrap();
     let headroom = |m: &CedMarket| m.max_profit() - m.original_profit();
     assert!(
         headroom(&spread) > headroom(&flat),
@@ -143,17 +141,13 @@ fn higher_cost_cv_means_more_profit_headroom() {
 fn concave_costs_compress_headroom() {
     let flows = generate(Network::EuIsp, N_FLOWS, SEED).flows;
     let alpha = CedAlpha::new(1.1).unwrap();
-    let lin = CedMarket::new(
-        fit_ced(&flows, &LinearCost::new(0.2).unwrap(), alpha, 20.0).unwrap(),
-    )
-    .unwrap();
+    let lin = CedMarket::new(fit_ced(&flows, &LinearCost::new(0.2).unwrap(), alpha, 20.0).unwrap())
+        .unwrap();
     let con = CedMarket::new(
         fit_ced(&flows, &ConcaveCost::paper_fit(0.2).unwrap(), alpha, 20.0).unwrap(),
     )
     .unwrap();
-    assert!(
-        con.max_profit() - con.original_profit() < lin.max_profit() - lin.original_profit()
-    );
+    assert!(con.max_profit() - con.original_profit() < lin.max_profit() - lin.original_profit());
 }
 
 /// Fig. 1's exact dollar figures from the closed forms.
@@ -191,8 +185,8 @@ fn capture_boundaries_are_exact() {
     for network in Network::ALL {
         for family in DemandFamily::ALL {
             let m = market(network, family);
-            let single = capture_for_bundling(m.as_ref(), &Bundling::single(m.n_flows()).unwrap())
-                .unwrap();
+            let single =
+                capture_for_bundling(m.as_ref(), &Bundling::single(m.n_flows()).unwrap()).unwrap();
             assert!(single.capture.abs() < 1e-6, "single-bundle capture 0");
             let per_flow =
                 capture_for_bundling(m.as_ref(), &Bundling::per_flow(m.n_flows()).unwrap())
@@ -208,7 +202,9 @@ fn full_pipeline_is_deterministic() {
     let run = || {
         let m = market(Network::Cdn, DemandFamily::Ced);
         let strategy = StrategyKind::ProfitWeighted.build();
-        capture_curve(m.as_ref(), strategy.as_ref(), 6).unwrap().capture
+        capture_curve(m.as_ref(), strategy.as_ref(), 6)
+            .unwrap()
+            .capture
     };
     assert_eq!(run(), run());
 }
@@ -221,7 +217,11 @@ fn all_cost_families_fit_all_networks() {
     for network in Network::ALL {
         let flows = generate(network, 120, SEED).flows;
         for fam in CostFamily::ALL {
-            let theta = if fam == CostFamily::Regional { 1.0 } else { 0.2 };
+            let theta = if fam == CostFamily::Regional {
+                1.0
+            } else {
+                0.2
+            };
             let cost = fam.build(theta).unwrap();
             let m = CedMarket::new(
                 fit_ced(&flows, cost.as_ref(), CedAlpha::new(1.1).unwrap(), 20.0).unwrap(),

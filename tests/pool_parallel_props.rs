@@ -190,9 +190,11 @@ fn stress_nested_scopes_split_budget_and_stay_exact() {
     let got: Vec<u64> = pool::run_indexed(0, &outer, |_, &seed| {
         // Inner region: budget is split, never oversubscribed.
         assert!(pool::thread_budget() >= 1);
-        pool::run_indexed(0, &inner, move |_, &x| x.wrapping_mul(31).wrapping_add(seed))
-            .into_iter()
-            .fold(0u64, u64::wrapping_add)
+        pool::run_indexed(0, &inner, move |_, &x| {
+            x.wrapping_mul(31).wrapping_add(seed)
+        })
+        .into_iter()
+        .fold(0u64, u64::wrapping_add)
     });
     assert_eq!(got, expected);
 }
@@ -218,7 +220,10 @@ fn stress_panic_in_task_propagates_and_pool_survives() {
         .map(String::from)
         .or_else(|| err.downcast_ref::<String>().cloned())
         .unwrap_or_default();
-    assert!(msg.contains("task 41 exploded"), "unexpected payload: {msg}");
+    assert!(
+        msg.contains("task 41 exploded"),
+        "unexpected payload: {msg}"
+    );
     // The pool is still fully functional afterwards.
     let got = pool::run_indexed(0, &items, |_, &x| x * 2);
     let expected: Vec<u64> = items.iter().map(|&x| x * 2).collect();

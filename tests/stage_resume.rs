@@ -244,8 +244,7 @@ fn dataset_fingerprint_matches_golden_constant() {
     dataset_node(&mut g, Network::EuIsp, 120, 42);
     let hex = hex_fingerprints(&g).remove(0);
     assert_eq!(
-        hex,
-        "89a11e12c47a57167b42570e024db520fd56576e3f3e0cfbd33fd7fb13c5db92",
+        hex, "89a11e12c47a57167b42570e024db520fd56576e3f3e0cfbd33fd7fb13c5db92",
         "dataset.generate fingerprint drifted — bump deliberately"
     );
 }

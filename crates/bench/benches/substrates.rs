@@ -119,7 +119,7 @@ fn prefix_trie(c: &mut Criterion) {
 }
 
 fn topology_and_geo(c: &mut Criterion) {
-    use transit_geo::{Coord, GeoIpDb};
+    use transit_geo::{all_cities, Coord, GeoIpDb};
     use transit_topology::{internet2, PopId};
 
     let mut g = c.benchmark_group("topology_geo");
@@ -149,6 +149,14 @@ fn topology_and_geo(c: &mut Criterion) {
     let db = GeoIpDb::world();
     g.bench_function("geoip_lookup", |b| {
         b.iter(|| black_box(db.lookup(black_box(Ipv4Addr::new(93, 184, 216, 34)))))
+    });
+    let names: Vec<&str> = all_cities().iter().map(|c| c.name).collect();
+    g.bench_function("geoip_representative_addr", |b| {
+        b.iter(|| {
+            for &name in &names {
+                black_box(db.representative_addr(black_box(name)));
+            }
+        })
     });
     g.bench_function("geoip_build_world", |b| {
         b.iter(|| black_box(GeoIpDb::world().len()))

@@ -58,9 +58,9 @@ const OVERHEAD_BUDGET_PCT: f64 = 5.0;
 /// of the usable parallelism `min(cores, fig8 items)`: 1.0× on 2 cores,
 /// 2.0× on 4.
 const MIN_PARALLEL_EFFICIENCY: f64 = 0.5;
-/// Timed pairs behind each paired-median ratio. One quick fig8 takes
-/// ~60 ms, so a single run is dominated by scheduler noise; the median
-/// of per-pair ratios is not.
+/// Timed pairs behind each paired-median ratio. One default-size fig8
+/// takes ~30 ms on one thread, so a single run is dominated by
+/// scheduler noise; the median of per-pair ratios is not.
 const PAIRS: usize = 16;
 
 fn fail(failures: &[String]) -> ! {
@@ -349,6 +349,17 @@ fn quick_config(threads: usize, log_level: transit_obs::Level) -> ExperimentConf
     }
 }
 
+/// The fig8 that `smoke obs` times: the default size (n = 400). A quick
+/// fig8 (n = 120) takes a few ms, where pool dispatch costs as much as
+/// the work, so its ratios measure dispatch rather than spans or scaling.
+fn timed_config(threads: usize, log_level: transit_obs::Level) -> ExperimentConfig {
+    ExperimentConfig {
+        threads,
+        log_level,
+        ..ExperimentConfig::default()
+    }
+}
+
 fn run_fig8(cfg: &ExperimentConfig) {
     transit_obs::set_log_level(cfg.log_level);
     runners::run("fig8", cfg)
@@ -505,16 +516,25 @@ fn obs(dir: &Path) {
         dir.display()
     );
 
+    // The worker reruns fig8 until the main thread has finished a full
+    // scrape round (or given up on a failure), so at least one round
+    // overlaps a run however fast fig8 gets.
+    let stop = AtomicBool::new(false);
     let done = AtomicBool::new(false);
     let mut failures: Vec<String> = Vec::new();
     let mut mid_run_scrapes = 0u32;
-    std::thread::scope(|scope| {
-        let done = &done;
+    let runs = std::thread::scope(|scope| {
+        let (stop, done) = (&stop, &done);
         let worker = scope.spawn(move || {
-            run_fig8(&quick_config(0, transit_obs::Level::Info));
-            done.store(true, Ordering::Relaxed);
+            let mut runs = 0u32;
+            while !stop.load(Ordering::Acquire) {
+                run_fig8(&quick_config(0, transit_obs::Level::Info));
+                runs += 1;
+            }
+            done.store(true, Ordering::Release);
+            runs
         });
-        while !done.load(Ordering::Relaxed) {
+        while !done.load(Ordering::Acquire) {
             match http_get(addr, "/healthz") {
                 Ok((status, body)) => {
                     if !status.contains("200") || body != "ok\n" {
@@ -533,18 +553,29 @@ fn obs(dir: &Path) {
                 }
                 Err(e) => failures.push(format!("/metrics: {e}")),
             }
-            mid_run_scrapes += 1;
+            // The worker sets `done` only after it saw `stop`, which is
+            // set only below: a round that ends before `done` overlapped a run.
+            if !done.load(Ordering::Acquire) {
+                mid_run_scrapes += 1;
+            }
+            stop.store(true, Ordering::Release);
             if !failures.is_empty() {
                 break; // stop scraping; the worker still joins below
             }
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        worker.join().expect("fig8 worker panicked");
+        worker.join().expect("fig8 worker panicked")
     });
+    if mid_run_scrapes == 0 {
+        failures.push("no /healthz + /metrics scrape overlapped a fig8 run".to_string());
+    }
     if !failures.is_empty() {
         fail(&failures);
     }
-    println!("obs: {mid_run_scrapes} mid-run scrape(s) of /healthz + /metrics OK");
+    println!(
+        "obs: {mid_run_scrapes} mid-run scrape(s) of /healthz + /metrics \
+         over {runs} fig8 run(s) OK"
+    );
 
     // write_profile flushes the journal and exports trace.json.
     let records = vec![transit_experiments::profile::RunRecord {
@@ -565,10 +596,10 @@ fn obs(dir: &Path) {
     println!("obs: events.jsonl + trace.json valid (balanced B/E)");
 
     let cores = cores();
-    let quiet1 = quick_config(1, transit_obs::Level::Quiet);
+    let quiet1 = timed_config(1, transit_obs::Level::Quiet);
     run_fig8(&quiet1); // warmup
     let overhead_pct =
-        (paired_median_ratio(&quick_config(1, transit_obs::Level::Info), &quiet1) - 1.0) * 100.0;
+        (paired_median_ratio(&timed_config(1, transit_obs::Level::Info), &quiet1) - 1.0) * 100.0;
     println!(
         "obs: span overhead {overhead_pct:.2}% (median of {PAIRS} info/quiet pairs, \
          budget {OVERHEAD_BUDGET_PCT:.0}%)"
@@ -580,7 +611,7 @@ fn obs(dir: &Path) {
         ));
     }
     if cores > 1 {
-        let speedup = paired_median_ratio(&quiet1, &quick_config(cores, transit_obs::Level::Quiet));
+        let speedup = paired_median_ratio(&quiet1, &timed_config(cores, transit_obs::Level::Quiet));
         let floor = speedup_floor(cores);
         println!(
             "obs: threads={cores} speedup {speedup:.2}x (median of {PAIRS} pairs, floor {floor:.2}x)"

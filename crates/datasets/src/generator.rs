@@ -184,28 +184,13 @@ pub fn generate_replicated(
         .expect("total flow count fits usize");
     assert!(n_total <= u32::MAX as usize, "flow ids are u32");
     let geoip = GeoIpDb::world();
-    // Memoize each city's representative /16 — `representative_addr`
-    // scans the whole block table, and the distinct-city set is tiny.
-    let mut bases: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
-    let mut base_of = |city: &str| -> u32 {
-        if let Some(&b) = bases.get(city) {
-            return b;
-        }
-        let b = u32::from(
-            geoip
-                .representative_addr(city)
-                .expect("pool cities exist in the GeoIP database"),
-        ) & 0xFFFF_0000;
-        bases.insert(city.to_string(), b);
-        b
-    };
     let mut flows = Vec::with_capacity(n_total);
     let mut cities = Vec::with_capacity(n_total);
     let mut endpoints = Vec::with_capacity(n_total);
     for (i, flow) in base.flows.iter().enumerate() {
         let q = flow.demand_mbps / replication as f64;
-        let src_base = base_of(&base.cities[i].0);
-        let dst_base = base_of(&base.cities[i].1);
+        let src_base = city_base(&geoip, &base.cities[i].0);
+        let dst_base = city_base(&geoip, &base.cities[i].1);
         for r in 0..replication {
             let idx = (i * replication + r) as u32;
             flows.push(TrafficFlow::new(idx, q, flow.distance_miles).with_region(flow.region));
@@ -268,13 +253,17 @@ fn endpoint_addrs(
     flow_idx: usize,
 ) -> (Ipv4Addr, Ipv4Addr) {
     let host = (flow_idx as u32 % 0xFFFE) + 1;
-    let make = |city: &str, offset: u32| -> Ipv4Addr {
-        let base = geoip
-            .representative_addr(city)
-            .expect("pool cities exist in the GeoIP database");
-        Ipv4Addr::from((u32::from(base) & 0xFFFF_0000) | ((host + offset) & 0xFFFF))
-    };
+    let make =
+        |city, offset: u32| Ipv4Addr::from(city_base(geoip, city) | ((host + offset) & 0xFFFF));
     (make(src_city, 0), make(dst_city, 7))
+}
+
+/// The city's representative /16 with the host bits cleared.
+fn city_base(geoip: &GeoIpDb, city: &str) -> u32 {
+    let addr = geoip
+        .representative_addr(city)
+        .expect("pool cities exist in the GeoIP database");
+    u32::from(addr) & 0xFFFF_0000
 }
 
 /// EU ISP pool: inter-PoP entry/exit pairs of the European mesh plus

@@ -12,7 +12,6 @@
 //! structure is a flat table rather than a longest-prefix trie — the
 //! routing crate owns the real LPM trie.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::cities::{all_cities, City};
@@ -54,10 +53,16 @@ pub enum GeoRelation {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeoIpDb {
-    /// /16 block (upper 16 bits of the IPv4 address) → city index.
-    blocks: HashMap<u16, usize>,
+    /// City index owning each /16 block (indexed by the upper 16 bits of
+    /// the IPv4 address), or [`UNASSIGNED`], which is never a city index.
+    owner: Vec<u16>,
+    /// Lowest /16 block owned by each city.
+    first_block: Vec<Option<u16>>,
     cities: Vec<&'static City>,
 }
+
+/// Owner-table entry of a /16 block no city owns.
+const UNASSIGNED: u16 = u16::MAX;
 
 impl GeoIpDb {
     /// Builds the database over the full world-city table.
@@ -74,6 +79,7 @@ impl GeoIpDb {
     /// European metros for an EU-ISP scenario).
     pub fn with_cities(cities: Vec<&'static City>) -> GeoIpDb {
         assert!(!cities.is_empty(), "GeoIpDb needs at least one city");
+        assert!(cities.len() < UNASSIGNED as usize, "city index fits u16");
         // Population-proportional quota per city, at least 1 block.
         let total_pop: f64 = cities.iter().map(|c| c.population_m).sum();
         let usable_blocks: Vec<u16> = (0u16..=u16::MAX)
@@ -107,37 +113,48 @@ impl GeoIpDb {
             sequence.extend(std::iter::repeat_n(city_idx, q));
         }
         let n = usable_blocks.len();
-        let mut blocks = HashMap::with_capacity(sequence.len());
+        let mut owner = vec![UNASSIGNED; 1 << 16];
         for (i, &city_idx) in sequence.iter().enumerate() {
             // 40503 is odd and coprime with any power of two; combined
             // with mod n it spreads the schedule pseudo-uniformly.
             let slot = (i.wrapping_mul(40503)) % n;
             // Linear-probe to the next unassigned block.
             let mut s = slot;
-            while blocks.contains_key(&usable_blocks[s]) {
+            while owner[usable_blocks[s] as usize] != UNASSIGNED {
                 s = (s + 1) % n;
             }
-            blocks.insert(usable_blocks[s], city_idx);
+            owner[usable_blocks[s] as usize] = city_idx as u16;
         }
-        GeoIpDb { blocks, cities }
+        // Ascending pass: the first block seen for a city is its lowest.
+        let mut first_block = vec![None; cities.len()];
+        for (block, &city_idx) in owner.iter().enumerate() {
+            if city_idx != UNASSIGNED {
+                first_block[city_idx as usize].get_or_insert(block as u16);
+            }
+        }
+        GeoIpDb {
+            owner,
+            first_block,
+            cities,
+        }
     }
 
     /// Number of assigned /16 blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.owner.iter().filter(|&&ci| ci != UNASSIGNED).count()
     }
 
     /// True if the database is empty (never the case for constructors).
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// Looks up an address; `None` for unassigned space (private ranges,
     /// multicast, etc.).
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<Location> {
-        let block = ((u32::from(addr)) >> 16) as u16;
-        let &city_idx = self.blocks.get(&block)?;
-        let city = self.cities[city_idx];
+        let city = self
+            .cities
+            .get(self.owner[(u32::from(addr) >> 16) as usize] as usize)?;
         Some(Location {
             city: city.name,
             country: city.country,
@@ -168,18 +185,11 @@ impl GeoIpDb {
         })
     }
 
-    /// An address guaranteed to geolocate to the given city (the first
-    /// block assigned to it); useful for constructing test traffic.
+    /// An address guaranteed to geolocate to the given city (host `.0.1`
+    /// of its lowest /16 block); useful for constructing test traffic.
     pub fn representative_addr(&self, city_name: &str) -> Option<Ipv4Addr> {
         let city_idx = self.cities.iter().position(|c| c.name == city_name)?;
-        let mut blocks: Vec<u16> = self
-            .blocks
-            .iter()
-            .filter(|(_, &ci)| ci == city_idx)
-            .map(|(&b, _)| b)
-            .collect();
-        blocks.sort_unstable();
-        let b = *blocks.first()?;
+        let b = self.first_block[city_idx]?;
         Some(Ipv4Addr::from((b as u32) << 16 | 1))
     }
 }
@@ -233,7 +243,7 @@ mod tests {
         let db = GeoIpDb::world();
         let count_for = |name: &str| {
             let idx = db.cities.iter().position(|c| c.name == name).unwrap();
-            db.blocks.values().filter(|&&ci| ci == idx).count()
+            db.owner.iter().filter(|&&ci| ci as usize == idx).count()
         };
         // Tokyo (37M) must own far more space than Zurich (1.4M).
         assert!(count_for("Tokyo") > 10 * count_for("Zurich"));
@@ -247,6 +257,30 @@ mod tests {
             assert_eq!(db.lookup(addr).unwrap().city, name);
         }
         assert!(db.representative_addr("Atlantis").is_none());
+    }
+
+    #[test]
+    fn representative_addr_is_the_lowest_block_of_its_city() {
+        let europe: Vec<&'static City> = crate::cities::EUROPE.iter().collect();
+        for (db, cities, outsider) in [
+            (GeoIpDb::world(), all_cities(), "Atlantis"),
+            (GeoIpDb::with_cities(europe.clone()), europe, "Tokyo"),
+        ] {
+            // Brute force over all 65 536 /16 blocks, ascending.
+            let mut lowest = std::collections::HashMap::new();
+            for block in 0..=u16::MAX as u32 {
+                if let Some(loc) = db.lookup(Ipv4Addr::from(block << 16)) {
+                    lowest.entry(loc.city).or_insert(block);
+                }
+            }
+            assert_eq!(lowest.len(), cities.len(), "every city owns a block");
+            for city in &cities {
+                let expected = Ipv4Addr::from(lowest[city.name] << 16 | 1);
+                let got = db.representative_addr(city.name);
+                assert_eq!(got, Some(expected), "{}", city.name);
+            }
+            assert!(db.representative_addr(outsider).is_none());
+        }
     }
 
     #[test]

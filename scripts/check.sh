@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Full local gate: lint everything (warnings are errors), run the whole
-# workspace test suite (and tier-1 again on one core), then the bounded
-# smokes. Mirrors what CI should enforce.
+# Full local gate: check formatting, lint everything (warnings are
+# errors), run the whole workspace test suite (and tier-1 again on one
+# core), then the bounded smokes. Mirrors what CI should enforce.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every workspace member (vendored shims included) must be rustfmt-clean.
+# perfbench/harness is its own package and is not formatted from here.
+echo "== rustfmt (cargo fmt --all --check) =="
+cargo fmt --all --check
 
 echo "== clippy (all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -62,13 +67,14 @@ echo "== store smoke (cold vs warm --resume, 100% hits + 5x gate) =="
 cargo run --release -q -p transit-bench --bin smoke -- store target/store-smoke
 
 # Observability smoke: run fig8 with the journal and the live /metrics
-# endpoint enabled, scrape /healthz and /metrics mid-run (every body is
+# endpoint enabled, scrape /healthz and /metrics mid-run (fig8 reruns
+# until at least one full scrape round overlapped a run; every body is
 # parsed by the Prometheus validator), then check the written artifacts:
 # events.jsonl must be schema-valid and trace.json a well-formed Chrome
 # trace with balanced per-thread spans. Finally, as medians of paired
-# runs: span overhead (info vs quiet) <= 5%, and on more than one core
-# the threads=N speedup >= 50% parallel efficiency over
-# min(cores, 18 fig8 items).
+# default-size fig8 runs: span overhead (info vs quiet) <= 5%, and on
+# more than one core the threads=N speedup >= 50% parallel efficiency
+# over min(cores, 18 fig8 items).
 echo "== obs smoke (journal + /metrics + trace schemas, 5% overhead, 50% efficiency) =="
 cargo run --release -q -p transit-bench --bin smoke -- obs target/obs-smoke
 
